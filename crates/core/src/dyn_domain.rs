@@ -32,6 +32,10 @@ use crate::domain::{Domain, OpId};
 pub trait ErasedState: Any + Send + Sync {
     /// Clone behind the box.
     fn clone_box(&self) -> Box<dyn ErasedState>;
+    /// Copy `self` into `target` in place (`Clone::clone_from`, reusing the
+    /// target's storage) when both have the same concrete type; returns
+    /// false, leaving `target` untouched, otherwise.
+    fn clone_into_dyn(&self, target: &mut dyn ErasedState) -> bool;
     /// Equality against another erased state (false across types).
     fn eq_dyn(&self, other: &dyn ErasedState) -> bool;
     /// Forward the inner `Hash` impl's writes to `hasher` unchanged.
@@ -48,6 +52,15 @@ where
 {
     fn clone_box(&self) -> Box<dyn ErasedState> {
         Box::new(self.clone())
+    }
+    fn clone_into_dyn(&self, target: &mut dyn ErasedState) -> bool {
+        match target.as_any_mut().downcast_mut::<T>() {
+            Some(slot) => {
+                slot.clone_from(self);
+                true
+            }
+            None => false,
+        }
     }
     fn eq_dyn(&self, other: &dyn ErasedState) -> bool {
         other.as_any().downcast_ref::<T>().is_some_and(|o| self == o)
@@ -90,6 +103,14 @@ impl DynState {
 impl Clone for DynState {
     fn clone(&self) -> Self {
         DynState(self.0.clone_box())
+    }
+
+    /// Copies into the existing box when the concrete types match, so a
+    /// state snapshot taken in a loop allocates once, not per copy.
+    fn clone_from(&mut self, source: &Self) {
+        if !source.0.clone_into_dyn(&mut *self.0) {
+            *self = source.clone();
+        }
     }
 }
 
@@ -337,6 +358,23 @@ mod tests {
         }
         let vec_state = vec![1u8, 2, 0];
         assert_eq!(hash_one(&DynState::new(vec_state.clone())), hash_one(&vec_state));
+    }
+
+    #[test]
+    fn clone_from_reuses_same_type_slot_and_falls_back_across_types() {
+        let src = DynState::new(vec![3u8, 1, 4]);
+        let mut dst = DynState::new(vec![0u8; 3]);
+        let boxed = &*dst.0 as *const dyn ErasedState as *const ();
+        let buf = dst.downcast_ref::<Vec<u8>>().unwrap().as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(&*dst.0 as *const dyn ErasedState as *const (), boxed, "same-type copy must keep the box");
+        assert_eq!(dst.downcast_ref::<Vec<u8>>().unwrap().as_ptr(), buf, "and the inner buffer");
+
+        let mut other = DynState::new(7i64);
+        other.clone_from(&src);
+        assert_eq!(other, src, "cross-type copy falls back to clone");
+        assert_eq!(other.downcast_ref::<Vec<u8>>(), Some(&vec![3u8, 1, 4]));
     }
 
     #[test]

@@ -11,7 +11,7 @@ const WORD_BITS: usize = 64;
 /// All sets belonging to one [`super::StripsProblem`] share the same width
 /// (the number of conditions in the problem), so subset/union/difference are
 /// straight word-wise loops — the operations on the planning hot path.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct CondSet {
     words: Vec<u64>,
     /// Number of condition slots (bits) this set ranges over.
@@ -36,6 +36,13 @@ impl CondSet {
     /// Number of condition slots.
     pub fn width(&self) -> usize {
         self.width
+    }
+
+    /// The backing words, `width.div_ceil(64)` of them, bit `i` of word
+    /// `i / 64` standing for condition `i`.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Insert a condition. Panics if out of range.
@@ -108,6 +115,20 @@ impl CondSet {
                 }
             })
         })
+    }
+}
+
+/// Hand-written so `clone_from` copies into the existing word buffer: the
+/// decoder's state copies (ping-pong buffers, best-prefix snapshots, cache
+/// slots) then reuse storage instead of allocating per step.
+impl Clone for CondSet {
+    fn clone(&self) -> Self {
+        CondSet { words: self.words.clone(), width: self.width }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.width = source.width;
     }
 }
 

@@ -48,9 +48,17 @@ pub struct StripsProblem {
     init: CondSet,
     goal: CondSet,
     fitness_mode: GoalFitnessMode,
-    /// Per-goal-condition weights, parallel to `goal.iter()` order; uniform
-    /// (all 1.0) unless customized via [`StripsBuilder::goal_weight`].
-    goal_weights: FxHashMap<CondId, f64>,
+    /// Every operator's precondition words in one row-major matrix, row `i`
+    /// being `ops[i].pre`, `stride` words per row. Successor generation
+    /// scans this instead of chasing one heap-allocated set per operator.
+    pre_words: Vec<u64>,
+    /// Words per condition set (`num_conditions().div_ceil(64)`, at least 1).
+    stride: usize,
+    /// `(goal condition, weight)` in `goal.iter()` order; weights are 1.0
+    /// unless customized via [`StripsBuilder::goal_weight`].
+    goal_terms: Vec<(CondId, f64)>,
+    /// Sum of the `goal_terms` weights, accumulated in the same order.
+    goal_total: f64,
 }
 
 impl StripsProblem {
@@ -82,11 +90,6 @@ impl StripsProblem {
     /// Select how non-goal states are scored.
     pub fn set_fitness_mode(&mut self, mode: GoalFitnessMode) {
         self.fitness_mode = mode;
-    }
-
-    /// Sum of weights over all goal conditions.
-    fn total_goal_weight(&self) -> f64 {
-        self.goal.iter().map(|c| self.goal_weights.get(&c).copied().unwrap_or(1.0)).sum()
     }
 
     /// Stable 64-bit signature of the *semantic content* of this problem:
@@ -124,8 +127,8 @@ impl StripsProblem {
         s.tag("fitness").bool(self.fitness_mode == GoalFitnessMode::Exact);
         // hash weights in goal-iteration order (deterministic), not map order
         s.tag("weights");
-        for c in self.goal.iter() {
-            s.f64(self.goal_weights.get(&c).copied().unwrap_or(1.0));
+        for &(_, w) in &self.goal_terms {
+            s.f64(w);
         }
         s.finish()
     }
@@ -143,19 +146,34 @@ impl Domain for StripsProblem {
     }
 
     fn valid_operations(&self, state: &CondSet, out: &mut Vec<OpId>) {
-        for (i, op) in self.ops.iter().enumerate() {
-            if op.pre.is_subset_of(state) {
-                out.push(OpId(i as u32));
+        let s = state.words();
+        debug_assert_eq!(s.len(), self.stride, "state of a different width");
+        if let &[w] = s {
+            for (i, &pre) in self.pre_words.iter().enumerate() {
+                if pre & !w == 0 {
+                    out.push(OpId(i as u32));
+                }
+            }
+        } else {
+            for (i, pre) in self.pre_words.chunks_exact(self.stride).enumerate() {
+                if pre.iter().zip(s).all(|(p, w)| p & !w == 0) {
+                    out.push(OpId(i as u32));
+                }
             }
         }
     }
 
     fn apply(&self, state: &CondSet, op: OpId) -> CondSet {
+        let mut next = state.clone();
+        self.apply_into(state, op, &mut next);
+        next
+    }
+
+    fn apply_into(&self, state: &CondSet, op: OpId, out: &mut CondSet) {
         let o = &self.ops[op.index()];
         debug_assert!(o.pre.is_subset_of(state), "apply() called with invalid op");
-        let mut next = state.clone();
-        next.apply_effects(&o.add, &o.del);
-        next
+        out.clone_from(state);
+        out.apply_effects(&o.add, &o.del);
     }
 
     fn is_goal(&self, state: &CondSet) -> bool {
@@ -172,17 +190,11 @@ impl Domain for StripsProblem {
                 }
             }
             GoalFitnessMode::FractionSatisfied => {
-                let total = self.total_goal_weight();
-                if total == 0.0 {
+                if self.goal_total == 0.0 {
                     return 1.0; // empty goal: every state is a goal state
                 }
-                let satisfied: f64 = self
-                    .goal
-                    .iter()
-                    .filter(|&c| state.contains(c))
-                    .map(|c| self.goal_weights.get(&c).copied().unwrap_or(1.0))
-                    .sum();
-                satisfied / total
+                let satisfied: f64 = self.goal_terms.iter().filter(|&&(c, _)| state.contains(c)).map(|&(_, w)| w).sum();
+                satisfied / self.goal_total
             }
         }
     }
@@ -301,7 +313,7 @@ impl StripsBuilder {
         }
         let w = self.conditions.len();
         let mk = |ids: &[CondId]| CondSet::from_ids(w, ids.iter().copied());
-        let ops = self
+        let ops: Vec<StripsOp> = self
             .ops
             .iter()
             .map(|(name, pre, add, del, cost)| StripsOp {
@@ -312,13 +324,22 @@ impl StripsBuilder {
                 cost: *cost,
             })
             .collect();
+        let stride = w.div_ceil(64);
+        let pre_words = ops.iter().flat_map(|op| op.pre.words().iter().copied()).collect();
+        let goal = mk(&self.goal);
+        let goal_terms: Vec<(CondId, f64)> =
+            goal.iter().map(|c| (c, self.goal_weights.get(&c).copied().unwrap_or(1.0))).collect();
+        let goal_total = goal_terms.iter().map(|&(_, w)| w).sum();
         Ok(StripsProblem {
             conditions: self.conditions,
             ops,
             init: mk(&self.init),
-            goal: mk(&self.goal),
+            goal,
             fitness_mode: GoalFitnessMode::default(),
-            goal_weights: self.goal_weights,
+            pre_words,
+            stride,
+            goal_terms,
+            goal_total,
         })
     }
 }
@@ -452,5 +473,118 @@ mod tests {
         let p = b.build().unwrap();
         assert!(p.is_goal(&p.initial_state()));
         assert_eq!(p.goal_fitness(&p.initial_state()), 1.0);
+    }
+
+    /// SplitMix64: a seeded stream for the random-problem equivalence tests.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn chance(&mut self, p: f64) -> bool {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64 <= p
+        }
+        fn subset(&mut self, width: usize, p: f64) -> Vec<u32> {
+            (0..width as u32).filter(|_| self.chance(p)).collect()
+        }
+    }
+
+    /// A seeded random problem over `width` conditions with non-uniform goal
+    /// weights; returns it with the weight of every goal condition.
+    fn random_problem(width: usize, seed: u64) -> (StripsProblem, FxHashMap<CondId, f64>) {
+        fn names(ids: &[u32]) -> Vec<String> {
+            ids.iter().map(|i| format!("c{i}")).collect()
+        }
+        fn strs(v: &[String]) -> Vec<&str> {
+            v.iter().map(String::as_str).collect()
+        }
+        let mut rng = Mix(seed);
+        let mut b = StripsBuilder::new();
+        for c in names(&(0..width as u32).collect::<Vec<_>>()) {
+            b.condition(&c).unwrap();
+        }
+        let sparse = (3.0 / width as f64).min(0.5);
+        for o in 0..48 {
+            let pre = names(&rng.subset(width, sparse));
+            let add = names(&rng.subset(width, sparse));
+            let del = names(&rng.subset(width, sparse));
+            b.op(&format!("o{o}"), &strs(&pre), &strs(&add), &strs(&del), 1.0 + (o % 3) as f64).unwrap();
+        }
+        b.init(&strs(&names(&rng.subset(width, 0.7)))).unwrap();
+        let mut goal = rng.subset(width, 0.4);
+        if goal.is_empty() {
+            goal.push((rng.next() % width as u64) as u32);
+        }
+        let goal = names(&goal);
+        b.goal(&strs(&goal)).unwrap();
+        let mut weights = FxHashMap::default();
+        for g in &goal {
+            // Weights like 0.1, 1.7, 3.3: sums of these round differently
+            // depending on order, so bit equality checks the summation order.
+            let w = (rng.next() % 50) as f64 / 10.0 + 0.1;
+            b.goal_weight(g, w).unwrap();
+            weights.insert(b.index[g], w);
+        }
+        (b.build().unwrap(), weights)
+    }
+
+    #[test]
+    fn flat_strips_paths_match_per_set_reference_on_random_problems() {
+        for width in [1, 63, 64, 65, 130] {
+            for seed in 0..4u64 {
+                let (p, weights) = random_problem(width, seed * 1000 + width as u64);
+                let weight = |c: CondId| weights.get(&c).copied().unwrap_or(1.0);
+                let mut rng = Mix(seed ^ 0xD1CE);
+                let mut out = CondSet::empty(width);
+                let mut scratch = Vec::new();
+                let mut valid_seen = 0;
+                for _ in 0..200 {
+                    let ids = rng.subset(width, 0.75);
+                    let state = CondSet::from_ids(width, ids.into_iter().map(CondId));
+
+                    // valid_operations: same ops, same order, as a naive scan.
+                    scratch.clear();
+                    p.valid_operations(&state, &mut scratch);
+                    let naive: Vec<OpId> = (0..p.ops.len())
+                        .filter(|&i| p.ops[i].pre.is_subset_of(&state))
+                        .map(|i| OpId(i as u32))
+                        .collect();
+                    assert_eq!(scratch, naive, "width {width} seed {seed}");
+                    valid_seen += naive.len();
+
+                    // apply_into == apply == clone + apply_effects, even into
+                    // a buffer holding an unrelated state.
+                    for &op in &naive {
+                        let o = &p.ops[op.index()];
+                        let mut reference = state.clone();
+                        reference.apply_effects(&o.add, &o.del);
+                        p.apply_into(&state, op, &mut out);
+                        assert_eq!(out, reference, "width {width} op {op:?}");
+                        assert_eq!(p.apply(&state, op), reference, "width {width} op {op:?}");
+                    }
+
+                    // goal_fitness: bit-identical to the per-call weighted sum.
+                    let total: f64 = p.goal.iter().map(weight).sum();
+                    let satisfied: f64 = p.goal.iter().filter(|&c| state.contains(c)).map(weight).sum();
+                    assert_eq!(p.goal_fitness(&state).to_bits(), (satisfied / total).to_bits(), "width {width}");
+
+                    // CondSet::clone_from == clone, reusing the buffer.
+                    let mut copy = CondSet::from_ids(width, [CondId(0)]);
+                    let buf = copy.words().as_ptr();
+                    copy.clone_from(&state);
+                    assert_eq!(copy, state.clone());
+                    assert_eq!(copy.words().as_ptr(), buf, "same-width clone_from must reuse the buffer");
+                    let mut wider = CondSet::empty(width + 200);
+                    wider.clone_from(&state);
+                    assert_eq!(wider, state, "clone_from across widths");
+                }
+                assert!(valid_seen > 0, "width {width} seed {seed}: no op ever valid, test is vacuous");
+            }
+        }
     }
 }

@@ -388,7 +388,12 @@ impl Decoder {
                     if self.scratch.is_empty() {
                         break;
                     }
-                    let key = self.match_key(domain, &state, match_mode);
+                    // The list just enumerated is this state's valid-op
+                    // set: hash it rather than enumerate a second time.
+                    let key = match match_mode {
+                        StateMatchMode::ExactState => domain.state_signature(&state),
+                        StateMatchMode::ValidOpSet => gaplan_core::hash_one(&self.scratch),
+                    };
                     (key, Some(self.scratch[gene_to_index(gene, self.scratch.len())]))
                 }
             };
@@ -478,7 +483,7 @@ impl Decoder {
             }
         }
         let key = cache.successors(domain, state, sig, &mut self.scratch);
-        self.l1[slot] = Some(L1Entry { sig, key, ops: self.scratch.clone(), goal: None });
+        self.store_l1(slot, sig, key);
         (sig, key)
     }
 
@@ -510,8 +515,22 @@ impl Decoder {
         let key = cache.successors(domain, state, sig, &mut self.scratch);
         let op =
             if self.scratch.is_empty() { None } else { Some(self.scratch[gene_to_index(gene, self.scratch.len())]) };
-        self.l1[slot] = Some(L1Entry { sig, key, ops: self.scratch.clone(), goal: None });
+        self.store_l1(slot, sig, key);
         (sig, key, op)
+    }
+
+    /// Record `self.scratch` as the successor list of `sig` in L1 `slot`,
+    /// overwriting the occupant in place so its op buffer is reused.
+    fn store_l1(&mut self, slot: usize, sig: u64, key: u64) {
+        match &mut self.l1[slot] {
+            Some(e) => {
+                e.sig = sig;
+                e.key = key;
+                e.ops.clone_from(&self.scratch);
+                e.goal = None;
+            }
+            empty @ None => *empty = Some(L1Entry { sig, key, ops: self.scratch.clone(), goal: None }),
+        }
     }
 
     /// Goal fitness of `state`, memoized in the L1 alongside the state's

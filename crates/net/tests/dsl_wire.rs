@@ -138,3 +138,39 @@ fn dsl_compile_errors_report_and_keep_the_connection() {
     drop(reader);
     server.stop().expect("clean stop");
 }
+
+/// The grounded-domain cache counts each request once: a freshly generated
+/// DSL pair is one miss even though the session's coalesce-key probe
+/// compiles it before the worker looks it up, and a repeat is one hit.
+#[test]
+fn generated_dsl_pair_counts_one_ground_miss_then_one_hit() {
+    let server = start(1);
+    let (mut stream, mut reader) = connect(&server);
+    let domain = repo_file("examples/domains/blocks.gap");
+    // Object names unique to this test keep the process-wide ground cache
+    // cold for this pair whatever else the test binary has compiled.
+    let problem = "problem ground-memo-accounting\ndomain blocks\n\nobjects gm1 gm2 gm3 gm4: block\n\n\
+                   init: on-table(gm1) on-table(gm2) on-table(gm3) on-table(gm4)\n      \
+                   clear(gm1) clear(gm2) clear(gm3) clear(gm4) hand-empty()\n\n\
+                   goal: on(gm1, gm2) on(gm3, gm4)\n";
+    let ground_counts = |stream: &mut TcpStream, reader: &mut BufReader<TcpStream>| {
+        send(stream, "{\"cmd\":\"metrics\"}");
+        let metrics = recv(reader);
+        let m = metrics.get("metrics").expect("metrics body").clone();
+        (num(&m, "ground_cache_misses"), num(&m, "ground_cache_hits"))
+    };
+
+    send(&mut stream, &dsl_plan_line(1, &domain, problem, 1));
+    let first = recv(&mut reader);
+    assert_eq!(first.get("status").and_then(Value::as_str), Some("Done"), "{first:?}");
+    assert_eq!(ground_counts(&mut stream, &mut reader), (1, 0), "a new pair is exactly one miss");
+
+    send(&mut stream, &dsl_plan_line(2, &domain, problem, 1));
+    let repeat = recv(&mut reader);
+    assert_eq!(repeat.get("status").and_then(Value::as_str), Some("Done"), "{repeat:?}");
+    assert_eq!(ground_counts(&mut stream, &mut reader), (1, 1), "a repeat is exactly one hit");
+
+    drop(stream);
+    drop(reader);
+    server.stop().expect("clean stop");
+}

@@ -26,7 +26,16 @@ use crate::metrics::Metrics;
 /// Distinct (domain, problem) texts cached per process.
 const CAPACITY: usize = 128;
 
-type CacheMap = FxHashMap<u64, Result<Arc<StripsProblem>, String>>;
+/// One memoized compile. `miss_pending` marks an entry compiled by an
+/// uncounted probe: the first counted lookup to find it is the request that
+/// compile was for, so it counts the miss (and clears the mark) instead of
+/// a hit.
+struct Grounded {
+    result: Result<Arc<StripsProblem>, String>,
+    miss_pending: bool,
+}
+
+type CacheMap = FxHashMap<u64, Grounded>;
 
 fn cache() -> &'static Mutex<CacheMap> {
     static CACHE: OnceLock<Mutex<CacheMap>> = OnceLock::new();
@@ -44,15 +53,23 @@ pub fn text_signature(domain: &str, problem: &str) -> u64 {
 
 /// Compile (or fetch) the grounded domain for a source pair. Counts a
 /// ground-cache hit/miss on `metrics` when provided; probe-only callers
-/// (the session thread computing cache keys) pass `None` so the same
-/// request is not double-counted.
+/// (the session thread computing cache keys) pass `None`.
+///
+/// Each request counts exactly once, at its counted lookup. When an
+/// uncounted probe already compiled the pair on that request's behalf, the
+/// counted lookup finds the entry but still counts the miss the compile
+/// was — otherwise every fresh pair probed first would read as a hit.
 pub fn ground_cached(domain: &str, problem: &str, metrics: Option<&Metrics>) -> Result<Arc<StripsProblem>, String> {
     let key = text_signature(domain, problem);
-    if let Some(cached) = cache().lock().unwrap().get(&key) {
+    if let Some(cached) = cache().lock().expect("ground cache mutex poisoned").get_mut(&key) {
         if let Some(m) = metrics {
-            m.on_ground_cache_hit();
+            if std::mem::take(&mut cached.miss_pending) {
+                m.on_ground_cache_miss();
+            } else {
+                m.on_ground_cache_hit();
+            }
         }
-        return cached.clone();
+        return cached.result.clone();
     }
     // Compile outside the lock: grounding can take milliseconds and other
     // (domain, problem) pairs shouldn't serialize behind it. A racing
@@ -68,7 +85,7 @@ pub fn ground_cached(domain: &str, problem: &str, metrics: Option<&Metrics>) -> 
     if map.len() >= CAPACITY {
         map.clear();
     }
-    map.insert(key, result.clone());
+    map.insert(key, Grounded { result: result.clone(), miss_pending: metrics.is_none() });
     result
 }
 
@@ -104,5 +121,19 @@ mod tests {
         let m = Metrics::new();
         let _ = ground_cached(DOM, "problem q2 domain d\nobjects b: t\ninit: p(b)\ngoal: p(b)\n", None);
         assert_eq!(m.snapshot().ground_cache_misses, 0);
+    }
+
+    #[test]
+    fn probe_compile_is_counted_as_a_miss_by_the_next_counted_lookup() {
+        let m = Metrics::new();
+        let prob = "problem q3 domain d\nobjects c: t\ninit: p(c)\ngoal: p(c)\n";
+        // Request 1: the probe compiles, the counted lookup finds the entry.
+        let _ = ground_cached(DOM, prob, None);
+        let _ = ground_cached(DOM, prob, Some(&m));
+        // Request 2: same pair, probe then counted lookup, both find it.
+        let _ = ground_cached(DOM, prob, None);
+        let _ = ground_cached(DOM, prob, Some(&m));
+        let s = m.snapshot();
+        assert_eq!((s.ground_cache_misses, s.ground_cache_hits), (1, 1));
     }
 }
