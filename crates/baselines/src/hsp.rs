@@ -1,5 +1,5 @@
 //! The HSP-family additive heuristic (Bonet & Geffner, the paper's ref.
-//! [3]): "This approach assumes that subgoals are independent" — each goal
+//! \[3\]): "This approach assumes that subgoals are independent" — each goal
 //! condition is costed separately by a fixpoint over the delete-relaxed
 //! problem, and the costs are summed.
 //!

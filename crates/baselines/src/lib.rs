@@ -5,16 +5,16 @@
 //! Deterministic and stochastic baseline planners, covering the approaches
 //! the paper's related-work section (§2) positions the GA against:
 //!
-//! * [`bfs`] — breadth-first search ("general search strategies such as
+//! * [`bfs`](mod@bfs) — breadth-first search ("general search strategies such as
 //!   breadth first search, though applicable to planning problems, rarely
 //!   find good solutions efficiently").
-//! * [`astar`] / [`idastar`] — heuristic search in the style of Korf &
+//! * [`astar`](mod@astar) / [`idastar`](mod@idastar) — heuristic search in the style of Korf &
 //!   Taylor and Bonet & Geffner's HSP planners.
 //! * [`heuristics`] — Manhattan distance, linear conflict (Korf & Taylor),
 //!   misplaced tiles, Hanoi lower bound, and goal-count for STRIPS.
 //! * [`local`] — hill-climbing (HSP-style) and greedy best-first
 //!   (HSP2-style) searches.
-//! * [`random_walk`] — the weakest stochastic baseline.
+//! * [`random_walk`](mod@random_walk) — the weakest stochastic baseline.
 //! * [`chaining`] — forward and backward chaining over ground STRIPS
 //!   problems ("general planning algorithms such as forward- and
 //!   backward-chaining are based upon deterministic search methods").

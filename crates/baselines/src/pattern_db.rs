@@ -1,5 +1,5 @@
 //! Disjoint pattern database heuristics for the sliding-tile puzzle
-//! (Korf & Felner 2002, the paper's ref. [9]): "the subgoals are split into
+//! (Korf & Felner 2002, the paper's ref. \[9\]): "the subgoals are split into
 //! disjoint subsets so that an operation affects only the subgoals in one
 //! subset. The values obtained for each subset are then combined to form
 //! the result of the heuristic evaluation function."

@@ -58,7 +58,7 @@ fn run(hanoi: &Hanoi, cache: Option<&SuccessorCache<Vec<u8>>>, cfg: &GaConfig, l
     let t0 = Instant::now();
     for _ in 0..GENERATIONS {
         for genome in &pop {
-            let (_, fitness) = dec.evaluate_with(hanoi, &start, genome, cfg, cache, None);
+            let (_, fitness) = dec.evaluate_ref(hanoi, &start, genome.genes(), cfg, cache, None);
             checksum += fitness.total;
         }
         for genome in &mut pop {

@@ -7,12 +7,13 @@
 //!
 //! **Decode path** — the `bench_decode` workload (Hanoi-7, 200 genomes of
 //! 127 genes, 40 passes, one fresh point mutation per child per pass,
-//! shared successor cache), once through the historical per-candidate path
-//! (`Decoder::evaluate_with`, no prefix hints — the loop whose wall time is
-//! recorded as `cache_on_ms` in `BENCH_decode.json`) and once through the
-//! arena path: children written into a [`PopulationArena`] with
-//! [`Provenance`] naming the unchanged prefix, decoded by `evaluate_ref`
-//! with a borrowed [`PrefixRef`] replaying the donor's memoized outputs.
+//! shared successor cache), once through a per-candidate loop (each child a
+//! cloned `Genome` decoded by `Decoder::evaluate_ref` with no prefix hint —
+//! the loop whose wall time is recorded as `cache_on_ms` in
+//! `BENCH_decode.json`) and once through the arena path: children written
+//! into a [`PopulationArena`] with [`Provenance`] naming the unchanged
+//! prefix, decoded by `evaluate_ref` with a borrowed [`PrefixRef`]
+//! replaying the donor's memoized outputs.
 //! Both loops draw identical mutations, evaluate a pre-decoded parent set's
 //! children, and discard results, so the wall-clock delta isolates the
 //! decode/eval path itself. Fitness checksums are asserted
@@ -91,7 +92,7 @@ fn setup_parents(
     population(&mut rng, len)
         .into_iter()
         .map(|g| {
-            let (decoded, fitness) = dec.evaluate_with(hanoi, &start, &g, cfg, Some(cache), None);
+            let (decoded, fitness) = dec.evaluate_ref(hanoi, &start, g.genes(), cfg, Some(cache), None);
             Evaluated::new(g, decoded, fitness)
         })
         .collect()
@@ -116,7 +117,7 @@ fn run_candidate(
             let mut child = p.genome.clone();
             let at = rng.gen_range(0..child.len());
             child.genes_mut()[at] = rng.gen_range(0.0..1.0);
-            let (_, fitness) = dec.evaluate_with(hanoi, &start, &child, cfg, Some(cache), None);
+            let (_, fitness) = dec.evaluate_ref(hanoi, &start, child.genes(), cfg, Some(cache), None);
             checksum += fitness.total;
         }
     }

@@ -1,5 +1,5 @@
 //! Ext-G: population seeding strategies on Blocks World — the experiment
-//! of Westerberg & Levine (paper ref. [22]), who found that "seeding
+//! of Westerberg & Levine (paper ref. \[22\]), who found that "seeding
 //! partial solutions and keeping some randomness in the initial population
 //! appear to benefit GP performance" on Blocks World problems.
 

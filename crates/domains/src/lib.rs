@@ -15,9 +15,9 @@
 //!   substrate.
 //! * [`navigation`] — multi-robot grid navigation (the Sinergy evaluation
 //!   domain).
-//! * [`briefcase`] — the Briefcase domain (also from the Sinergy paper),
+//! * [`briefcase`](mod@briefcase) — the Briefcase domain (also from the Sinergy paper),
 //!   generated as a ground STRIPS problem.
-//! * [`gripper`] — the classic Gripper benchmark (robot with grippers
+//! * [`gripper`](mod@gripper) — the classic Gripper benchmark (robot with grippers
 //!   ferrying balls), generated as a ground STRIPS problem.
 
 pub mod blocks;

@@ -13,7 +13,7 @@ use crate::config::GaConfig;
 use crate::decode::Decoder;
 use crate::genome::Genome;
 use crate::individual::Evaluated;
-use crate::mutation::{length_mutate, mutate};
+use crate::mutation::{length_mutate, mutate_slice};
 use crate::rng::derive_seed;
 
 /// Configuration for [`simulated_annealing`] and [`one_plus_one`].
@@ -61,7 +61,7 @@ pub struct AnnealResult<S> {
 
 fn propose<R: Rng + ?Sized>(rng: &mut R, genome: &Genome, cfg: &AnnealConfig, max_len: usize) -> Genome {
     let mut child = genome.clone();
-    mutate(rng, &mut child, cfg.mutation_rate);
+    mutate_slice(rng, child.genes_mut(), cfg.mutation_rate);
     length_mutate(rng, &mut child, cfg.length_mutation_rate, max_len);
     child
 }
@@ -79,7 +79,7 @@ pub fn simulated_annealing<D: Domain>(domain: &D, ga_cfg: &GaConfig, cfg: &Annea
     let start = domain.initial_state();
 
     let mut current_genome = Genome::random(&mut rng, ga_cfg.initial_len);
-    let (decoded, fitness) = decoder.evaluate(domain, &start, &current_genome, ga_cfg);
+    let (decoded, fitness) = decoder.evaluate_ref(domain, &start, current_genome.genes(), ga_cfg, None, None);
     let mut current = Evaluated::new(current_genome.clone(), decoded, fitness);
     let mut best = current.clone();
     let mut first_solution_eval = if best.solves() { Some(0) } else { None };
@@ -87,7 +87,7 @@ pub fn simulated_annealing<D: Domain>(domain: &D, ga_cfg: &GaConfig, cfg: &Annea
     let mut temperature = cfg.start_temperature.max(1e-12);
     for eval in 1..cfg.evaluations {
         let candidate_genome = propose(&mut rng, &current_genome, cfg, ga_cfg.max_len);
-        let (decoded, fitness) = decoder.evaluate(domain, &start, &candidate_genome, ga_cfg);
+        let (decoded, fitness) = decoder.evaluate_ref(domain, &start, candidate_genome.genes(), ga_cfg, None, None);
         let candidate = Evaluated::new(candidate_genome.clone(), decoded, fitness);
 
         let delta = candidate.fitness.total - current.fitness.total;
@@ -115,13 +115,13 @@ pub fn one_plus_one<D: Domain>(domain: &D, ga_cfg: &GaConfig, cfg: &AnnealConfig
     let start = domain.initial_state();
 
     let mut current_genome = Genome::random(&mut rng, ga_cfg.initial_len);
-    let (decoded, fitness) = decoder.evaluate(domain, &start, &current_genome, ga_cfg);
+    let (decoded, fitness) = decoder.evaluate_ref(domain, &start, current_genome.genes(), ga_cfg, None, None);
     let mut current = Evaluated::new(current_genome.clone(), decoded, fitness);
     let mut first_solution_eval = if current.solves() { Some(0) } else { None };
 
     for eval in 1..cfg.evaluations {
         let candidate_genome = propose(&mut rng, &current_genome, cfg, ga_cfg.max_len);
-        let (decoded, fitness) = decoder.evaluate(domain, &start, &candidate_genome, ga_cfg);
+        let (decoded, fitness) = decoder.evaluate_ref(domain, &start, candidate_genome.genes(), ga_cfg, None, None);
         let candidate = Evaluated::new(candidate_genome.clone(), decoded, fitness);
         if candidate.fitness.total >= current.fitness.total {
             current = candidate;

@@ -4,9 +4,9 @@
 //! prefix-sum bounds table instead of one heap allocation per individual.
 //! Children produced by crossover are spliced *directly* into the arena
 //! (no intermediate `Genome`), and prefix-reuse provenance is recorded as
-//! a small `(parent index, prefix length)` pair instead of a cloned
-//! `PrefixHint`, so the decode layer can borrow the donor's op/key slices
-//! straight out of the previous generation.
+//! a small `(parent index, prefix length)` pair, which evaluation resolves
+//! to a [`PrefixRef`](crate::decode::PrefixRef) borrowing the donor's
+//! op/key slices straight out of the previous generation.
 
 /// Sentinel parent index meaning "no provenance" (fresh or resumed genome).
 pub const NO_PARENT: u32 = u32::MAX;
@@ -18,8 +18,10 @@ pub const FULL_PREFIX: u32 = u32::MAX;
 ///
 /// `parent` indexes the *previous* generation's evaluated individuals;
 /// `prefix` is the number of leading genes guaranteed unchanged since the
-/// parent was decoded (capped at the parent's decoded length when the hint
-/// is resolved, mirroring [`crate::decode::PrefixHint::new`]).
+/// parent was decoded. [`evaluate_arena`](crate::population::evaluate_arena)
+/// resolves it to a [`PrefixRef`](crate::decode::PrefixRef) over the
+/// parent's decode, and [`PrefixRef::new`](crate::decode::PrefixRef::new)
+/// caps it at the parent's decoded length.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Provenance {
     /// Index of the donor individual in the parent generation, or [`NO_PARENT`].

@@ -13,38 +13,11 @@ use rand::Rng;
 
 use crate::arena::{PopulationArena, Provenance};
 use crate::config::CrossoverKind;
-use crate::genome::Genome;
 use crate::individual::Evaluated;
 
-/// Outcome of a crossover attempt.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CrossoverOutcome {
-    /// Two children were produced (they replace their parents).
-    Children(Genome, Genome),
-    /// Mixed crossover found no matching cut and fell back to a random
-    /// second cut. Distinguished from `Children` so the fallback rate —
-    /// how often the paper's state-aware mechanism actually fires — is
-    /// observable by the engine's telemetry.
-    FallbackChildren(Genome, Genome),
-    /// No matching cut point existed (state-aware only): "we do not perform
-    /// the crossover and both parents are included in the population of the
-    /// next generation".
-    Unchanged,
-}
-
-impl CrossoverOutcome {
-    /// The produced children regardless of how the cut was chosen.
-    pub fn into_children(self) -> Option<(Genome, Genome)> {
-        match self {
-            CrossoverOutcome::Children(c1, c2) | CrossoverOutcome::FallbackChildren(c1, c2) => Some((c1, c2)),
-            CrossoverOutcome::Unchanged => None,
-        }
-    }
-}
-
-/// All RNG decisions of one crossover attempt, separated from child
-/// construction so children can be materialized either as [`Genome`]s or
-/// directly into a [`PopulationArena`] without touching the draw sequence.
+/// All RNG decisions of one crossover attempt. Children are built from a
+/// plan by [`CrossoverPlan::materialize_into`], directly in a
+/// [`PopulationArena`]; building them draws nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrossoverPlan {
     /// Single-cut splice: child1 = `a[..c1] ++ b[c2..]`, child2 =
@@ -75,17 +48,6 @@ pub enum CrossoverPlan {
 }
 
 impl CrossoverPlan {
-    /// Each child's unchanged-prefix length (`None` for [`CrossoverPlan::Unchanged`]).
-    pub fn cuts(&self) -> Option<(usize, usize)> {
-        match *self {
-            CrossoverPlan::Splice { c1, c2, .. } => Some((c1, c2)),
-            // Only the flanks before the first cut of each parent survive
-            // unchanged in the corresponding child.
-            CrossoverPlan::TwoPoint { a1, b1, .. } => Some((a1, b1)),
-            CrossoverPlan::Unchanged => None,
-        }
-    }
-
     /// Append this plan's two children (or the unchanged parents) to
     /// `arena`, recording prefix-reuse provenance against parent indices
     /// `pa` / `pb` in the evaluated parent generation.
@@ -104,6 +66,8 @@ impl CrossoverPlan {
                 arena.push_splice(ga, c1, gb, c2, max_len, Provenance::prefix(pa, c1));
                 arena.push_splice(gb, c2, ga, c1, max_len, Provenance::prefix(pb, c2));
             }
+            // Only the flanks before the first cut of each parent survive
+            // unchanged in the corresponding child.
             CrossoverPlan::TwoPoint { a1, a2, b1, b2 } => {
                 arena.push_concat3(&ga[..a1], &gb[b1..b2], &ga[a2..], max_len, Provenance::prefix(pa, a1));
                 arena.push_concat3(&gb[..b1], &ga[a1..a2], &gb[b2..], max_len, Provenance::prefix(pb, b1));
@@ -117,7 +81,7 @@ impl CrossoverPlan {
 }
 
 /// Draw the RNG decisions for one crossover of `kind` between evaluated
-/// parents `a` and `b`. Consumes exactly the draws [`crossover`] consumes.
+/// parents `a` and `b`. Every draw of a crossover happens here.
 pub fn crossover_plan<R: Rng + ?Sized, S>(
     rng: &mut R,
     kind: CrossoverKind,
@@ -161,66 +125,6 @@ pub fn crossover_plan<R: Rng + ?Sized, S>(
     }
 }
 
-/// Apply crossover `kind` to two evaluated parents, producing children
-/// truncated to `max_len`.
-pub fn crossover<R: Rng + ?Sized, S>(
-    rng: &mut R,
-    kind: CrossoverKind,
-    a: &Evaluated<S>,
-    b: &Evaluated<S>,
-    max_len: usize,
-) -> CrossoverOutcome {
-    crossover_with_cuts(rng, kind, a, b, max_len).0
-}
-
-/// [`crossover`] that also reports each child's *unchanged-prefix lengths*:
-/// `cuts = Some((p1, p2))` means the first child's genes `0..p1` are copied
-/// verbatim from parent `a` and the second child's genes `0..p2` verbatim
-/// from parent `b`. The engine turns these into prefix-reuse decode hints.
-/// `None` accompanies [`CrossoverOutcome::Unchanged`] (the parents pass
-/// through whole, so their entire decode is reusable).
-///
-/// The RNG draw sequence is identical to [`crossover`]'s and
-/// [`crossover_plan`]'s by construction — all draws happen in the plan,
-/// materialization here is draw-free.
-pub fn crossover_with_cuts<R: Rng + ?Sized, S>(
-    rng: &mut R,
-    kind: CrossoverKind,
-    a: &Evaluated<S>,
-    b: &Evaluated<S>,
-    max_len: usize,
-) -> (CrossoverOutcome, Option<(usize, usize)>) {
-    let plan = crossover_plan(rng, kind, a, b);
-    let cuts = plan.cuts();
-    let outcome = match plan {
-        CrossoverPlan::Splice { c1, c2, fallback } => match children(a, c1, b, c2, max_len) {
-            CrossoverOutcome::Children(g1, g2) if fallback => CrossoverOutcome::FallbackChildren(g1, g2),
-            other => other,
-        },
-        CrossoverPlan::TwoPoint { a1, a2, b1, b2 } => {
-            let mid_a = &a.genome.genes()[a1..a2];
-            let mid_b = &b.genome.genes()[b1..b2];
-            let mut g1 = Vec::with_capacity(a.genome.len() - mid_a.len() + mid_b.len());
-            g1.extend_from_slice(&a.genome.genes()[..a1]);
-            g1.extend_from_slice(mid_b);
-            g1.extend_from_slice(&a.genome.genes()[a2..]);
-            g1.truncate(max_len);
-            let mut g2 = Vec::with_capacity(b.genome.len() - mid_b.len() + mid_a.len());
-            g2.extend_from_slice(&b.genome.genes()[..b1]);
-            g2.extend_from_slice(mid_a);
-            g2.extend_from_slice(&b.genome.genes()[b2..]);
-            g2.truncate(max_len);
-            CrossoverOutcome::Children(Genome::from_genes(g1), Genome::from_genes(g2))
-        }
-        CrossoverPlan::Unchanged => CrossoverOutcome::Unchanged,
-    };
-    (outcome, cuts)
-}
-
-fn children<S>(a: &Evaluated<S>, c1: usize, b: &Evaluated<S>, c2: usize, max_len: usize) -> CrossoverOutcome {
-    CrossoverOutcome::Children(a.genome.splice(c1, &b.genome, c2, max_len), b.genome.splice(c2, &a.genome, c1, max_len))
-}
-
 /// Find a cut point on `b` whose decode state matches `key`, chosen
 /// uniformly at random among all matches. Returns `None` when no locus of
 /// `b` matches.
@@ -249,6 +153,7 @@ fn sorted_pair<R: Rng + ?Sized>(rng: &mut R, len: usize) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::fitness::Fitness;
+    use crate::genome::Genome;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -270,16 +175,34 @@ mod tests {
         }
     }
 
+    /// One crossover through the engine's path: draw the plan, then build
+    /// the children into `arena` (cleared first) with the parents at indices
+    /// 3 and 5 of their generation.
+    fn cross<R: Rng>(
+        rng: &mut R,
+        kind: CrossoverKind,
+        a: &Evaluated<()>,
+        b: &Evaluated<()>,
+        max_len: usize,
+        arena: &mut PopulationArena,
+    ) -> CrossoverPlan {
+        arena.clear();
+        let plan = crossover_plan(rng, kind, a, b);
+        plan.materialize_into(arena, a, 3, b, 5, max_len);
+        assert_eq!(arena.len(), 2, "{kind:?}: a crossover yields two individuals");
+        plan
+    }
+
     #[test]
     fn random_crossover_preserves_total_length_when_unbounded() {
         let a = ind(vec![0.1; 10], (0..=10).collect());
         let b = ind(vec![0.9; 6], (100..=106).collect());
         let mut rng = StdRng::seed_from_u64(5);
+        let mut arena = PopulationArena::new();
         for _ in 0..50 {
-            match crossover(&mut rng, CrossoverKind::Random, &a, &b, usize::MAX).into_children() {
-                Some((c1, c2)) => assert_eq!(c1.len() + c2.len(), 16),
-                None => panic!("random crossover always produces children"),
-            }
+            let plan = cross(&mut rng, CrossoverKind::Random, &a, &b, usize::MAX, &mut arena);
+            assert!(matches!(plan, CrossoverPlan::Splice { fallback: false, .. }), "{plan:?}");
+            assert_eq!(arena.genes(0).len() + arena.genes(1).len(), 16);
         }
     }
 
@@ -288,10 +211,10 @@ mod tests {
         let a = ind(vec![0.1; 10], (0..=10).collect());
         let b = ind(vec![0.9; 10], (100..=110).collect());
         let mut rng = StdRng::seed_from_u64(5);
+        let mut arena = PopulationArena::new();
         for _ in 0..50 {
-            if let CrossoverOutcome::Children(c1, c2) = crossover(&mut rng, CrossoverKind::Random, &a, &b, 12) {
-                assert!(c1.len() <= 12 && c2.len() <= 12);
-            }
+            cross(&mut rng, CrossoverKind::Random, &a, &b, 12, &mut arena);
+            assert!(arena.genes(0).len() <= 12 && arena.genes(1).len() <= 12);
         }
     }
 
@@ -300,8 +223,11 @@ mod tests {
         let a = ind(vec![0.1; 4], vec![1, 2, 3, 4, 5]);
         let b = ind(vec![0.9; 4], vec![10, 20, 30, 40, 50]);
         let mut rng = StdRng::seed_from_u64(1);
+        let mut arena = PopulationArena::new();
         for _ in 0..20 {
-            assert_eq!(crossover(&mut rng, CrossoverKind::StateAware, &a, &b, 100), CrossoverOutcome::Unchanged);
+            assert_eq!(cross(&mut rng, CrossoverKind::StateAware, &a, &b, 100, &mut arena), CrossoverPlan::Unchanged);
+            assert_eq!(arena.genes(0), a.genome.genes());
+            assert_eq!(arena.genes(1), b.genome.genes());
         }
     }
 
@@ -311,13 +237,14 @@ mod tests {
         let a = ind(vec![0.1, 0.2, 0.3], vec![1, 2, 7, 4]);
         let b = ind(vec![0.7, 0.8, 0.9], vec![5, 7, 6, 8]);
         let mut rng = StdRng::seed_from_u64(3);
+        let mut arena = PopulationArena::new();
         let mut produced = 0;
         for _ in 0..200 {
-            if let CrossoverOutcome::Children(c1, c2) = crossover(&mut rng, CrossoverKind::StateAware, &a, &b, 100) {
+            if cross(&mut rng, CrossoverKind::StateAware, &a, &b, 100, &mut arena) != CrossoverPlan::Unchanged {
                 produced += 1;
                 // the only matching pair is (c1=2, c2=1)
-                assert_eq!(c1.genes(), &[0.1, 0.2, 0.8, 0.9]);
-                assert_eq!(c2.genes(), &[0.7, 0.3]);
+                assert_eq!(arena.genes(0), &[0.1, 0.2, 0.8, 0.9]);
+                assert_eq!(arena.genes(1), &[0.7, 0.3]);
             }
         }
         // cut c1 is uniform over 0..=3; only c1 = 2 matches, so about 1/4
@@ -334,10 +261,13 @@ mod tests {
         let a = ind(vec![0.1, 0.2], vec![100, 42, 100]);
         let b = ind(vec![0.9, 0.8], vec![42, 100, 42]);
         let mut rng = StdRng::seed_from_u64(9);
+        let mut arena = PopulationArena::new();
         for _ in 0..100 {
-            if let CrossoverOutcome::Children(c1, _c2) = crossover(&mut rng, CrossoverKind::StateAware, &a, &b, 100) {
-                // any produced child is a splice at loci with equal keys
-                assert!(c1.len() <= 4);
+            if let CrossoverPlan::Splice { c1, c2, .. } =
+                cross(&mut rng, CrossoverKind::StateAware, &a, &b, 100, &mut arena)
+            {
+                assert_eq!(a.match_keys[c1], b.match_keys[c2], "cut at unequal keys");
+                assert!(arena.genes(0).len() <= 4);
             }
         }
     }
@@ -349,11 +279,10 @@ mod tests {
         let a = ind(vec![0.1; 4], vec![1, 2, 3, 4, 5]);
         let b = ind(vec![0.9; 4], vec![10, 20, 30, 40, 50]);
         let mut rng = StdRng::seed_from_u64(1);
+        let mut arena = PopulationArena::new();
         for _ in 0..20 {
-            assert!(matches!(
-                crossover(&mut rng, CrossoverKind::Mixed, &a, &b, 100),
-                CrossoverOutcome::FallbackChildren(..)
-            ));
+            let plan = cross(&mut rng, CrossoverKind::Mixed, &a, &b, 100, &mut arena);
+            assert!(matches!(plan, CrossoverPlan::Splice { fallback: true, .. }), "{plan:?}");
         }
     }
 
@@ -364,9 +293,12 @@ mod tests {
         let a = ind(vec![0.1, 0.2], vec![7, 7, 7]);
         let b = ind(vec![0.9, 0.8], vec![7, 7, 7]);
         let mut rng = StdRng::seed_from_u64(2);
+        let mut arena = PopulationArena::new();
         for _ in 0..50 {
-            match crossover(&mut rng, CrossoverKind::Mixed, &a, &b, 100) {
-                CrossoverOutcome::Children(c1, c2) => assert_eq!(c1.len() + c2.len(), 4),
+            match cross(&mut rng, CrossoverKind::Mixed, &a, &b, 100, &mut arena) {
+                CrossoverPlan::Splice { fallback: false, .. } => {
+                    assert_eq!(arena.genes(0).len() + arena.genes(1).len(), 4)
+                }
                 other => panic!("state-aware cut must be found: {other:?}"),
             }
         }
@@ -377,12 +309,13 @@ mod tests {
         let a = ind(vec![0.1, 0.2, 0.3, 0.4], (0..=4).collect());
         let b = ind(vec![0.9, 0.8, 0.7, 0.6], (10..=14).collect());
         let mut rng = StdRng::seed_from_u64(4);
+        let mut arena = PopulationArena::new();
         for _ in 0..50 {
-            if let CrossoverOutcome::Children(c1, c2) = crossover(&mut rng, CrossoverKind::TwoPoint, &a, &b, 100) {
-                assert_eq!(c1.len() + c2.len(), 8);
-                // first gene of c1 is from a (or mid-swap from b if cut at 0)
-                assert!(c1.genes().iter().all(|&g| (0.0..1.0).contains(&g)));
-            }
+            let plan = cross(&mut rng, CrossoverKind::TwoPoint, &a, &b, 100, &mut arena);
+            assert!(matches!(plan, CrossoverPlan::TwoPoint { .. }), "{plan:?}");
+            assert_eq!(arena.genes(0).len() + arena.genes(1).len(), 8);
+            // first gene of c1 is from a (or mid-swap from b if cut at 0)
+            assert!(arena.genes(0).iter().all(|&g| (0.0..1.0).contains(&g)));
         }
     }
 
@@ -391,88 +324,65 @@ mod tests {
         let a = ind(vec![], vec![1]);
         let b = ind(vec![0.5], vec![1, 2]);
         let mut rng = StdRng::seed_from_u64(8);
+        let mut arena = PopulationArena::new();
         for kind in [CrossoverKind::Random, CrossoverKind::StateAware, CrossoverKind::Mixed, CrossoverKind::TwoPoint] {
             // must not panic; state-aware can match at key 1
-            let _ = crossover(&mut rng, kind, &a, &b, 100);
+            cross(&mut rng, kind, &a, &b, 100, &mut arena);
         }
     }
 
+    /// The children in the arena are exactly the plan's splices, their
+    /// provenance names the parent whose prefix survives unchanged (the whole
+    /// parent for `Unchanged`), and only the plan draws from the RNG.
     #[test]
     fn reported_cuts_are_true_unchanged_prefixes() {
         let a = ind(vec![0.11, 0.12, 0.13, 0.14, 0.15], vec![1, 2, 7, 4, 9, 5]);
         let b = ind(vec![0.91, 0.92, 0.93, 0.94], vec![5, 7, 6, 9, 8]);
-        for kind in [CrossoverKind::Random, CrossoverKind::StateAware, CrossoverKind::Mixed, CrossoverKind::TwoPoint] {
-            let mut rng = StdRng::seed_from_u64(21);
-            for _ in 0..100 {
-                let (outcome, cuts) = crossover_with_cuts(&mut rng, kind, &a, &b, 100);
-                match (outcome, cuts) {
-                    (
-                        CrossoverOutcome::Children(c1, c2) | CrossoverOutcome::FallbackChildren(c1, c2),
-                        Some((p1, p2)),
-                    ) => {
-                        assert!(p1 <= c1.len() && p1 <= a.genome.len(), "{kind:?}: p1 {p1} out of range");
-                        assert!(p2 <= c2.len() && p2 <= b.genome.len(), "{kind:?}: p2 {p2} out of range");
-                        assert_eq!(&c1.genes()[..p1], &a.genome.genes()[..p1], "{kind:?}: child1 prefix");
-                        assert_eq!(&c2.genes()[..p2], &b.genome.genes()[..p2], "{kind:?}: child2 prefix");
-                    }
-                    (CrossoverOutcome::Unchanged, None) => {}
-                    (outcome, cuts) => panic!("{kind:?}: inconsistent report {outcome:?} / {cuts:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn crossover_and_with_cuts_share_rng_stream() {
-        let a = ind(vec![0.1; 8], (0..=8).collect());
-        let b = ind(vec![0.9; 5], vec![3, 1, 4, 1, 5, 9]);
-        for kind in [CrossoverKind::Random, CrossoverKind::StateAware, CrossoverKind::Mixed, CrossoverKind::TwoPoint] {
-            let mut r1 = StdRng::seed_from_u64(33);
-            let mut r2 = StdRng::seed_from_u64(33);
-            for _ in 0..50 {
-                let plain = crossover(&mut r1, kind, &a, &b, 20);
-                let (cut, _) = crossover_with_cuts(&mut r2, kind, &a, &b, 20);
-                assert_eq!(plain, cut, "{kind:?} diverged");
-            }
-            // streams still aligned afterwards
-            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
-        }
-    }
-
-    #[test]
-    fn arena_materialization_matches_genome_path() {
-        let a = ind(vec![0.11, 0.12, 0.13, 0.14, 0.15], vec![1, 2, 7, 4, 9, 5]);
-        let b = ind(vec![0.91, 0.92, 0.93, 0.94], vec![5, 7, 6, 9, 8]);
+        let (ga, gb) = (a.genome.genes(), b.genome.genes());
+        let mut arena = PopulationArena::new();
         for kind in [CrossoverKind::Random, CrossoverKind::StateAware, CrossoverKind::Mixed, CrossoverKind::TwoPoint] {
             let mut r1 = StdRng::seed_from_u64(17);
             let mut r2 = StdRng::seed_from_u64(17);
             for max_len in [3usize, 7, 100] {
+                let child = |parts: &[&[f64]]| {
+                    let mut v = parts.concat();
+                    v.truncate(max_len);
+                    v
+                };
                 for _ in 0..50 {
-                    let (outcome, cuts) = crossover_with_cuts(&mut r1, kind, &a, &b, max_len);
-                    let plan = crossover_plan(&mut r2, kind, &a, &b);
-                    assert_eq!(plan.cuts(), cuts, "{kind:?}");
-                    let mut arena = PopulationArena::new();
-                    plan.materialize_into(&mut arena, &a, 3, &b, 5, max_len);
-                    assert_eq!(arena.len(), 2);
-                    match outcome.into_children() {
-                        Some((c1, c2)) => {
-                            assert_eq!(arena.genes(0), c1.genes(), "{kind:?} child1 max {max_len}");
-                            assert_eq!(arena.genes(1), c2.genes(), "{kind:?} child2 max {max_len}");
-                            let (p1, p2) = cuts.unwrap();
-                            assert_eq!(arena.prov(0), Provenance::prefix(3, p1));
-                            assert_eq!(arena.prov(1), Provenance::prefix(5, p2));
+                    let plan = cross(&mut r1, kind, &a, &b, max_len, &mut arena);
+                    assert_eq!(plan, crossover_plan(&mut r2, kind, &a, &b), "{kind:?}: same seed, same plan");
+                    let (e1, e2, p1, p2) = match plan {
+                        CrossoverPlan::Splice { c1, c2, .. } => (
+                            child(&[&ga[..c1], &gb[c2..]]),
+                            child(&[&gb[..c2], &ga[c1..]]),
+                            Provenance::prefix(3, c1),
+                            Provenance::prefix(5, c2),
+                        ),
+                        CrossoverPlan::TwoPoint { a1, a2, b1, b2 } => (
+                            child(&[&ga[..a1], &gb[b1..b2], &ga[a2..]]),
+                            child(&[&gb[..b1], &ga[a1..a2], &gb[b2..]]),
+                            Provenance::prefix(3, a1),
+                            Provenance::prefix(5, b1),
+                        ),
+                        CrossoverPlan::Unchanged => {
+                            (ga.to_vec(), gb.to_vec(), Provenance::full(3), Provenance::full(5))
                         }
-                        None => {
-                            assert_eq!(arena.genes(0), a.genome.genes());
-                            assert_eq!(arena.genes(1), b.genome.genes());
-                            assert_eq!(arena.prov(0), Provenance::full(3));
-                            assert_eq!(arena.prov(1), Provenance::full(5));
-                        }
+                    };
+                    assert_eq!(arena.genes(0), &e1[..], "{kind:?} child1 max {max_len}");
+                    assert_eq!(arena.genes(1), &e2[..], "{kind:?} child2 max {max_len}");
+                    assert_eq!((arena.prov(0), arena.prov(1)), (p1, p2), "{kind:?} provenance");
+                    // the recorded prefix really is unchanged from its parent
+                    for (i, parent) in [(0, ga), (1, gb)] {
+                        let c = arena.genes(i);
+                        let k = (arena.prov(i).prefix as usize).min(c.len());
+                        assert!(k <= parent.len(), "{kind:?}: prefix {k} longer than parent");
+                        assert_eq!(&c[..k], &parent[..k], "{kind:?}: child{} prefix", i + 1);
                     }
                 }
             }
-            // plan and materialized paths consumed identical draw sequences
-            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
+            // building the children drew nothing: the streams are still aligned
+            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "{kind:?}");
         }
     }
 

@@ -10,21 +10,24 @@
 use gaplan_core::{Domain, OpId, SuccessorCache};
 
 use crate::config::{GoalEval, StateMatchMode};
-use crate::genome::Genome;
 use crate::Fitness;
 
-/// Checkpoint of an individual's *unchanged prefix*, set by the breeding
-/// operators so re-decoding can replay the prefix instead of re-deriving it.
+/// Checkpoint of an individual's *unchanged prefix*, borrowed from the donor
+/// parent's decode so re-decoding can replay the prefix instead of
+/// re-deriving it.
 ///
 /// Crossover copies genes `0..cut` of a parent verbatim into a child, and
 /// replace-mutation leaves genes before the first flipped locus untouched.
-/// Decoding is a pure function of `(start, genes)`, so the child's decode of
-/// that prefix is *guaranteed* to equal the parent's: the same ops, the same
-/// match keys, the same intermediate states. A `PrefixHint` carries the
-/// parent's `(ops, match_keys)` for the shared prefix; [`Decoder::decode_with`]
-/// replays it — re-applying ops and re-accumulating cost/goal fitness
-/// bitwise-identically, but skipping every `valid_operations` enumeration and
-/// match-key hash — and resumes ordinary decoding at the first changed locus.
+/// The engine records this as each arena individual's
+/// [`Provenance`](crate::arena::Provenance) and resolves it to a `PrefixRef`
+/// at evaluation time, sliced straight out of the donor's `Evaluated`, so
+/// breeding allocates nothing for hints. Decoding is a pure function of
+/// `(start, genes)`, so the child's decode of that prefix is *guaranteed* to
+/// equal the parent's: the same ops, the same match keys, the same
+/// intermediate states. [`Decoder::decode_ref`] replays the prefix —
+/// re-applying ops and re-accumulating cost/goal fitness bitwise-identically,
+/// but skipping every `valid_operations` enumeration and match-key hash — and
+/// resumes ordinary decoding at the first changed locus.
 ///
 /// Invariants (upheld by construction, checked in tests):
 /// * `ops.len() == keys.len() == goals.len()`, one entry per replayed gene;
@@ -32,54 +35,6 @@ use crate::Fitness;
 ///   decoded — past a goal truncation or dead end — are not replayable);
 /// * a hint is only attached to a child sharing the donor's start state and
 ///   its first `len()` genes.
-#[derive(Debug, Clone, Default)]
-pub struct PrefixHint {
-    ops: Vec<OpId>,
-    keys: Vec<u64>,
-    goals: Vec<f64>,
-}
-
-impl PrefixHint {
-    /// Checkpoint of the first `prefix_genes` genes of a donor individual,
-    /// given the donor's decode outputs (including its per-step goal memo,
-    /// so replay never re-computes goal fitness). Capped at the donor's
-    /// decoded length: genes the donor never decoded cannot be replayed.
-    pub fn new(donor_ops: &[OpId], donor_keys: &[u64], donor_goals: &[f64], prefix_genes: usize) -> PrefixHint {
-        let k = prefix_genes.min(donor_ops.len()).min(donor_goals.len());
-        debug_assert!(donor_keys.len() > donor_ops.len(), "match_keys must have decoded_len + 1 entries");
-        debug_assert_eq!(donor_goals.len(), donor_ops.len(), "step_goals must have one entry per op");
-        PrefixHint { ops: donor_ops[..k].to_vec(), keys: donor_keys[..k].to_vec(), goals: donor_goals[..k].to_vec() }
-    }
-
-    /// Number of replayable genes.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True when the hint replays nothing.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Shrink the hint to `prefix_genes` genes — called when mutation flips
-    /// a locus inside the previously unchanged prefix.
-    pub fn truncate(&mut self, prefix_genes: usize) {
-        self.ops.truncate(prefix_genes);
-        self.keys.truncate(prefix_genes);
-        self.goals.truncate(prefix_genes);
-    }
-
-    /// Borrow this hint as a [`PrefixRef`].
-    pub fn as_ref(&self) -> PrefixRef<'_> {
-        PrefixRef { ops: &self.ops, keys: &self.keys, goals: &self.goals }
-    }
-}
-
-/// A borrowed [`PrefixHint`]: the same replayable `(ops, keys)` prefix, but
-/// sliced straight out of the donor's `Evaluated` instead of cloned into
-/// owned vectors. The arena-backed engine resolves each child's provenance
-/// `(parent index, prefix length)` to a `PrefixRef` at evaluation time, so
-/// breeding allocates nothing for hints.
 #[derive(Debug, Clone, Copy)]
 pub struct PrefixRef<'a> {
     ops: &'a [OpId],
@@ -88,8 +43,10 @@ pub struct PrefixRef<'a> {
 }
 
 impl<'a> PrefixRef<'a> {
-    /// Borrow the first `prefix_genes` genes of a donor's decode outputs,
-    /// capped at the donor's decoded length exactly like [`PrefixHint::new`].
+    /// Borrow the first `prefix_genes` genes of a donor's decode outputs
+    /// (including its per-step goal memo, so replay never re-computes goal
+    /// fitness). Capped at the donor's decoded length: genes the donor never
+    /// decoded cannot be replayed.
     pub fn new(
         donor_ops: &'a [OpId],
         donor_keys: &'a [u64],
@@ -221,52 +178,18 @@ impl Decoder {
         self.spare_goals = decoded.step_goals;
     }
 
-    /// Decode `genome` against `domain`, starting from `start`.
+    /// Decode `genes` against `domain`, starting from `start`.
     ///
     /// * `truncate_at_goal`: stop decoding at the first goal state reached
     ///   (see `GaConfig::truncate_at_goal` for the fidelity discussion).
     /// * `match_mode`: what the per-locus match keys identify (full state
     ///   signature, or the valid-op multiset of the state).
-    pub fn decode<D: Domain>(
-        &mut self,
-        domain: &D,
-        start: &D::State,
-        genome: &Genome,
-        truncate_at_goal: bool,
-        match_mode: StateMatchMode,
-    ) -> Decoded<D::State> {
-        self.decode_with(domain, start, genome, truncate_at_goal, match_mode, None, None)
-    }
-
-    /// [`Decoder::decode`] with the evaluation-layer accelerations: an
-    /// optional shared [`SuccessorCache`] (memoized `valid_operations` +
-    /// match keys) and an optional [`PrefixHint`] (replay of the unchanged
-    /// prefix). Both are pure optimizations — the returned [`Decoded`] is
+    /// * `cache`: an optional shared [`SuccessorCache`] (memoized
+    ///   `valid_operations` + match keys).
+    /// * `hint`: an optional [`PrefixRef`] (replay of the unchanged prefix).
+    ///
+    /// Cache and hint are pure optimizations — the returned [`Decoded`] is
     /// bitwise-identical to an uncached, hintless decode.
-    #[allow(clippy::too_many_arguments)]
-    pub fn decode_with<D: Domain>(
-        &mut self,
-        domain: &D,
-        start: &D::State,
-        genome: &Genome,
-        truncate_at_goal: bool,
-        match_mode: StateMatchMode,
-        cache: Option<&SuccessorCache<D::State>>,
-        hint: Option<&PrefixHint>,
-    ) -> Decoded<D::State> {
-        self.decode_ref(
-            domain,
-            start,
-            genome.genes(),
-            truncate_at_goal,
-            match_mode,
-            cache,
-            hint.map(PrefixHint::as_ref),
-        )
-    }
-
-    /// [`Decoder::decode_with`] over a raw gene slice and a borrowed hint —
-    /// the arena-backed engine path. Bitwise-identical results.
     #[allow(clippy::too_many_arguments)]
     pub fn decode_ref<D: Domain>(
         &mut self,
@@ -568,41 +491,8 @@ impl Decoder {
         }
     }
 
-    /// Decode and score in one pass: the standard evaluation path.
-    pub fn evaluate<D: Domain>(
-        &mut self,
-        domain: &D,
-        start: &D::State,
-        genome: &Genome,
-        cfg: &crate::GaConfig,
-    ) -> (Decoded<D::State>, Fitness) {
-        self.evaluate_with(domain, start, genome, cfg, None, None)
-    }
-
-    /// [`Decoder::evaluate`] through the shared evaluation layer (optional
-    /// successor cache and prefix hint); same results, fewer
-    /// `valid_operations` calls.
-    pub fn evaluate_with<D: Domain>(
-        &mut self,
-        domain: &D,
-        start: &D::State,
-        genome: &Genome,
-        cfg: &crate::GaConfig,
-        cache: Option<&SuccessorCache<D::State>>,
-        hint: Option<&PrefixHint>,
-    ) -> (Decoded<D::State>, Fitness) {
-        let decoded = self.decode_with(domain, start, genome, cfg.truncate_at_goal, cfg.state_match, cache, hint);
-        let goal = match cfg.goal_eval {
-            GoalEval::FinalState => domain.goal_fitness(&decoded.final_state),
-            GoalEval::BestPrefix => decoded.best_prefix_goal,
-        };
-        let fitness =
-            Fitness::compute(goal, decoded.ops.len(), decoded.cost, cfg.weights, cfg.cost_fitness, cfg.max_len);
-        (decoded, fitness)
-    }
-
-    /// [`Decoder::evaluate_with`] over a raw gene slice and a borrowed hint —
-    /// the arena-backed evaluation path. Bitwise-identical results.
+    /// Decode and score in one pass: [`Decoder::decode_ref`] under `cfg`'s
+    /// decode settings, then the fitness of the result.
     pub fn evaluate_ref<D: Domain>(
         &mut self,
         domain: &D,
@@ -649,11 +539,20 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn decode_simple(
+    type LineState = <gaplan_core::strips::StripsProblem as Domain>::State;
+
+    /// Plain decode: no cache, no hint.
+    fn scratch_decode(
         d: &gaplan_core::strips::StripsProblem,
-        genes: Vec<f64>,
-    ) -> Decoded<<gaplan_core::strips::StripsProblem as Domain>::State> {
-        Decoder::new().decode(d, &d.initial_state(), &Genome::from_genes(genes), false, StateMatchMode::ExactState)
+        genes: &[f64],
+        truncate: bool,
+        mode: StateMatchMode,
+    ) -> Decoded<LineState> {
+        Decoder::new().decode_ref(d, &d.initial_state(), genes, truncate, mode, None, None)
+    }
+
+    fn decode_simple(d: &gaplan_core::strips::StripsProblem, genes: Vec<f64>) -> Decoded<LineState> {
+        scratch_decode(d, &genes, false, StateMatchMode::ExactState)
     }
 
     #[test]
@@ -693,18 +592,11 @@ mod tests {
     fn truncate_at_goal_stops_decoding() {
         let d = line();
         let genes = vec![0.1, 0.1, 0.1, 0.1, 0.9, 0.9]; // reach goal then walk back
-        let full = Decoder::new().decode(
-            &d,
-            &d.initial_state(),
-            &Genome::from_genes(genes.clone()),
-            false,
-            StateMatchMode::ExactState,
-        );
+        let full = scratch_decode(&d, &genes, false, StateMatchMode::ExactState);
         assert_eq!(full.decoded_len, 6);
         assert!(!d.is_goal(&full.final_state)); // walked past the goal
 
-        let trunc =
-            Decoder::new().decode(&d, &d.initial_state(), &Genome::from_genes(genes), true, StateMatchMode::ExactState);
+        let trunc = scratch_decode(&d, &genes, true, StateMatchMode::ExactState);
         assert_eq!(trunc.decoded_len, 4);
         assert!(d.is_goal(&trunc.final_state));
     }
@@ -747,13 +639,7 @@ mod tests {
     #[test]
     fn valid_op_set_match_mode_produces_keys() {
         let d = line();
-        let dec = Decoder::new().decode(
-            &d,
-            &d.initial_state(),
-            &Genome::from_genes(vec![0.1, 0.1, 0.9]),
-            false,
-            StateMatchMode::ValidOpSet,
-        );
+        let dec = scratch_decode(&d, &[0.1, 0.1, 0.9], false, StateMatchMode::ValidOpSet);
         // positions visited: 0, 1, 2, 1. Valid-op sets at position 1 (locus 1)
         // and position 1 again (final) coincide.
         assert_eq!(dec.match_keys[1], dec.match_keys[3]);
@@ -800,12 +686,11 @@ mod tests {
             (StateMatchMode::ValidOpSet, true),
         ] {
             for genes in &genomes {
-                let g = Genome::from_genes(genes.clone());
                 let start = d.initial_state();
-                let plain = Decoder::new().decode(&d, &start, &g, truncate, mode);
+                let plain = scratch_decode(&d, genes, truncate, mode);
                 // twice through the cache: once cold, once warm
-                let cold = Decoder::new().decode_with(&d, &start, &g, truncate, mode, Some(&cache), None);
-                let warm = Decoder::new().decode_with(&d, &start, &g, truncate, mode, Some(&cache), None);
+                let cold = Decoder::new().decode_ref(&d, &start, genes, truncate, mode, Some(&cache), None);
+                let warm = Decoder::new().decode_ref(&d, &start, genes, truncate, mode, Some(&cache), None);
                 assert_decoded_eq(&plain, &cold, "cold cache");
                 assert_decoded_eq(&plain, &warm, "warm cache");
             }
@@ -817,30 +702,23 @@ mod tests {
     fn prefix_hint_replay_is_bitwise_identical() {
         let d = line();
         let donor_genes = vec![0.1, 0.1, 0.9, 0.3, 0.2, 0.8];
-        let donor = Decoder::new().decode(
-            &d,
-            &d.initial_state(),
-            &Genome::from_genes(donor_genes.clone()),
-            false,
-            StateMatchMode::ValidOpSet,
-        );
+        let donor = scratch_decode(&d, &donor_genes, false, StateMatchMode::ValidOpSet);
         // A "child" sharing the first `cut` genes with the donor, for every
         // possible cut (including 0 and the full length).
         for cut in 0..=donor_genes.len() {
-            let mut child_genes = donor_genes[..cut].to_vec();
-            child_genes.extend([0.7, 0.05, 0.6]);
-            let g = Genome::from_genes(child_genes);
-            let hint = PrefixHint::new(&donor.ops, &donor.match_keys, &donor.step_goals, cut);
+            let mut child = donor_genes[..cut].to_vec();
+            child.extend([0.7, 0.05, 0.6]);
+            let hint = PrefixRef::new(&donor.ops, &donor.match_keys, &donor.step_goals, cut);
             assert!(hint.len() <= cut);
-            let plain = Decoder::new().decode(&d, &d.initial_state(), &g, false, StateMatchMode::ValidOpSet);
-            let hinted = Decoder::new().decode_with(
+            let plain = scratch_decode(&d, &child, false, StateMatchMode::ValidOpSet);
+            let hinted = Decoder::new().decode_ref(
                 &d,
                 &d.initial_state(),
-                &g,
+                &child,
                 false,
                 StateMatchMode::ValidOpSet,
                 None,
-                Some(&hint),
+                Some(hint),
             );
             assert_decoded_eq(&plain, &hinted, &format!("hint cut {cut}"));
         }
@@ -852,55 +730,45 @@ mod tests {
         // Donor reaches the goal at gene 4 under truncation; its decoded_len
         // is 4 even though the genome is longer.
         let donor_genes = vec![0.1, 0.1, 0.1, 0.1, 0.9, 0.9];
-        let donor = Decoder::new().decode(
-            &d,
-            &d.initial_state(),
-            &Genome::from_genes(donor_genes.clone()),
-            true,
-            StateMatchMode::ExactState,
-        );
+        let donor = scratch_decode(&d, &donor_genes, true, StateMatchMode::ExactState);
         assert_eq!(donor.decoded_len, 4);
         // A hint "covering" 6 genes is capped at the donor's 4 decoded ops;
         // replaying it against the same genome reproduces the truncation.
-        let hint = PrefixHint::new(&donor.ops, &donor.match_keys, &donor.step_goals, 6);
+        let hint = PrefixRef::new(&donor.ops, &donor.match_keys, &donor.step_goals, 6);
         assert_eq!(hint.len(), 4);
-        let replayed = Decoder::new().decode_with(
+        let replayed = Decoder::new().decode_ref(
             &d,
             &d.initial_state(),
-            &Genome::from_genes(donor_genes),
+            &donor_genes,
             true,
             StateMatchMode::ExactState,
             None,
-            Some(&hint),
+            Some(hint),
         );
         assert_decoded_eq(&donor, &replayed, "goal-truncated replay");
     }
 
     #[test]
-    fn prefix_hint_truncate_shrinks_replay() {
+    fn prefix_hint_shorter_than_unchanged_prefix_replays() {
         let d = line();
         let genes = vec![0.1, 0.1, 0.9, 0.3];
-        let donor = Decoder::new().decode(
-            &d,
-            &d.initial_state(),
-            &Genome::from_genes(genes.clone()),
-            false,
-            StateMatchMode::ExactState,
-        );
-        let mut hint = PrefixHint::new(&donor.ops, &donor.match_keys, &donor.step_goals, 4);
-        hint.truncate(2);
+        let donor = scratch_decode(&d, &genes, false, StateMatchMode::ExactState);
+        // A hint may cover less than the genes the child shares with its
+        // donor (e.g. after a mutation inside the prefix); decoding resumes
+        // at the end of the hint.
+        let hint = PrefixRef::new(&donor.ops, &donor.match_keys, &donor.step_goals, 2);
         assert_eq!(hint.len(), 2);
         assert!(!hint.is_empty());
-        let replayed = Decoder::new().decode_with(
+        let replayed = Decoder::new().decode_ref(
             &d,
             &d.initial_state(),
-            &Genome::from_genes(genes),
+            &genes,
             false,
             StateMatchMode::ExactState,
             None,
-            Some(&hint),
+            Some(hint),
         );
-        assert_decoded_eq(&donor, &replayed, "truncated hint");
+        assert_decoded_eq(&donor, &replayed, "short hint");
     }
 
     #[test]
@@ -908,26 +776,19 @@ mod tests {
         let d = line();
         let cache = SuccessorCache::new(256);
         let donor_genes = vec![0.1, 0.9, 0.1, 0.1, 0.1];
-        let donor = Decoder::new().decode(
+        let donor = scratch_decode(&d, &donor_genes, false, StateMatchMode::ValidOpSet);
+        let mut child = donor_genes[..3].to_vec();
+        child.extend([0.99, 0.0]);
+        let hint = PrefixRef::new(&donor.ops, &donor.match_keys, &donor.step_goals, 3);
+        let plain = scratch_decode(&d, &child, false, StateMatchMode::ValidOpSet);
+        let both = Decoder::new().decode_ref(
             &d,
             &d.initial_state(),
-            &Genome::from_genes(donor_genes.clone()),
-            false,
-            StateMatchMode::ValidOpSet,
-        );
-        let mut child_genes = donor_genes[..3].to_vec();
-        child_genes.extend([0.99, 0.0]);
-        let g = Genome::from_genes(child_genes);
-        let hint = PrefixHint::new(&donor.ops, &donor.match_keys, &donor.step_goals, 3);
-        let plain = Decoder::new().decode(&d, &d.initial_state(), &g, false, StateMatchMode::ValidOpSet);
-        let both = Decoder::new().decode_with(
-            &d,
-            &d.initial_state(),
-            &g,
+            &child,
             false,
             StateMatchMode::ValidOpSet,
             Some(&cache),
-            Some(&hint),
+            Some(hint),
         );
         assert_decoded_eq(&plain, &both, "cache + hint");
     }

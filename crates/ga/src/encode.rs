@@ -5,7 +5,7 @@
 //! Nebel & Koehler) needs: an existing plan — from a baseline planner, a
 //! previous GA run, or a truncated prefix of either — becomes genetic
 //! material. It also powers the seeding strategies of
-//! [`crate::seeding`] (Westerberg & Levine, the paper's ref. [22], found
+//! [`crate::seeding`] (Westerberg & Levine, the paper's ref. \[22\], found
 //! seeding partial solutions "appears to benefit GP performance").
 
 use gaplan_core::{Domain, OpId};
@@ -100,7 +100,15 @@ mod tests {
         let d = chain(6);
         let ops = walk(&d, 10, |i, valid| valid[i % valid.len()]);
         let genome = encode_plan(&d, &d.initial_state(), &ops).unwrap();
-        let decoded = Decoder::new().decode(&d, &d.initial_state(), &genome, false, StateMatchMode::ExactState);
+        let decoded = Decoder::new().decode_ref(
+            &d,
+            &d.initial_state(),
+            genome.genes(),
+            false,
+            StateMatchMode::ExactState,
+            None,
+            None,
+        );
         assert_eq!(decoded.ops, ops, "decode must reproduce the encoded plan");
     }
 
@@ -135,13 +143,8 @@ mod tests {
         let ops = walk(&d, 8, |i, valid| valid[i % valid.len()]);
         let genome = encode_plan(&d, &d.initial_state(), &ops).unwrap();
         let nudged: Vec<f64> = genome.genes().iter().map(|g| (g + 0.05).min(0.999_999)).collect();
-        let decoded = Decoder::new().decode(
-            &d,
-            &d.initial_state(),
-            &Genome::from_genes(nudged),
-            false,
-            StateMatchMode::ExactState,
-        );
+        let decoded =
+            Decoder::new().decode_ref(&d, &d.initial_state(), &nudged, false, StateMatchMode::ExactState, None, None);
         assert_eq!(decoded.ops, ops);
     }
 

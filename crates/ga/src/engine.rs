@@ -15,10 +15,11 @@ use crate::arena::{PopulationArena, Provenance};
 use crate::checkpoint::PhaseSnapshot;
 use crate::config::GaConfig;
 use crate::crossover::{crossover_plan, CrossoverPlan};
+use crate::decode::Decoder;
 use crate::genome::Genome;
 use crate::individual::Evaluated;
 use crate::mutation::{length_mutate_plan, mutate_slice, LengthEdit};
-use crate::population::{evaluate_arena, evaluate_candidates, init_population, island_rng, Candidate};
+use crate::population::{evaluate_arena, init_population, island_rng};
 use crate::seeding::{seeded_population, SeedStrategy};
 use crate::selection::select_parent;
 use crate::stats::GenStats;
@@ -181,15 +182,9 @@ impl<'d, D: Domain> Phase<'d, D> {
                 // Rebuild the best-so-far individual by re-evaluating its
                 // genome: decoding is deterministic and RNG-free, so the
                 // result is identical to the pre-crash individual.
-                best = evaluate_candidates(
-                    self.domain,
-                    &self.start,
-                    vec![Candidate::fresh(Genome::from_genes(snap.best.clone()))],
-                    cfg,
-                    cache.as_deref(),
-                )
-                .into_iter()
-                .next();
+                let (decoded, fitness) =
+                    Decoder::new().evaluate_ref(self.domain, &self.start, &snap.best, cfg, cache.as_deref(), None);
+                best = Some(Evaluated::new(Genome::from_genes(snap.best.clone()), decoded, fitness));
                 history = snap.history.clone();
                 first_solution_gen = snap.first_solution_gen;
                 generations_executed = snap.next_gen;

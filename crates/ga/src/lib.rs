@@ -80,7 +80,7 @@ pub use checkpoint::{MultiPhaseCheckpoint, PhaseSnapshot, ResumeError, CHECKPOIN
 pub use config::{
     CostFitnessMode, CrossoverKind, EvalMode, FitnessWeights, GaConfig, GoalEval, SelectionScheme, StateMatchMode,
 };
-pub use decode::{Decoded, Decoder, PrefixHint, PrefixRef};
+pub use decode::{Decoded, Decoder, PrefixRef};
 pub use encode::{encode_plan, EncodeError};
 pub use engine::{Phase, PhaseResult};
 pub use fitness::Fitness;

@@ -7,18 +7,12 @@ use rand::Rng;
 
 use crate::genome::Genome;
 
-/// Apply per-gene replacement mutation with probability `rate` per gene.
+/// Apply per-gene replacement mutation with probability `rate` per gene to
+/// a raw gene slice (an arena individual or a [`Genome`]'s genes).
 ///
 /// Returns the first modified locus, if any gene changed — the caller uses
 /// it to truncate the individual's prefix-reuse checkpoint (genes before the
 /// first flipped locus still decode identically).
-pub fn mutate<R: Rng + ?Sized>(rng: &mut R, genome: &mut Genome, rate: f64) -> Option<usize> {
-    mutate_slice(rng, genome.genes_mut(), rate)
-}
-
-/// [`mutate`] over a raw gene slice — the arena-backed engine path, where
-/// genomes are windows of one contiguous buffer rather than `Genome`s.
-/// Identical draw sequence and semantics.
 pub fn mutate_slice<R: Rng + ?Sized>(rng: &mut R, genes: &mut [f64], rate: f64) -> Option<usize> {
     if rate <= 0.0 {
         return None;
@@ -109,19 +103,19 @@ mod tests {
     #[test]
     fn zero_rate_is_identity() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut g = Genome::from_genes(vec![0.25; 100]);
-        mutate(&mut rng, &mut g, 0.0);
-        assert!(g.genes().iter().all(|&x| x == 0.25));
+        let mut g = vec![0.25; 100];
+        assert_eq!(mutate_slice(&mut rng, &mut g, 0.0), None);
+        assert!(g.iter().all(|&x| x == 0.25));
     }
 
     #[test]
     fn rate_one_replaces_everything() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut g = Genome::from_genes(vec![0.25; 100]);
-        mutate(&mut rng, &mut g, 1.0);
+        let mut g = vec![0.25; 100];
+        mutate_slice(&mut rng, &mut g, 1.0);
         // probability of any survivor is (1/2^52)-ish
-        assert!(g.genes().iter().all(|&x| x != 0.25));
-        assert!(g.genes().iter().all(|&x| (0.0..1.0).contains(&x)));
+        assert!(g.iter().all(|&x| x != 0.25));
+        assert!(g.iter().all(|&x| (0.0..1.0).contains(&x)));
     }
 
     #[test]
@@ -129,9 +123,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut changed = 0usize;
         const N: usize = 100_000;
-        let mut g = Genome::from_genes(vec![0.25; N]);
-        mutate(&mut rng, &mut g, 0.01);
-        for &x in g.genes() {
+        let mut g = vec![0.25; N];
+        mutate_slice(&mut rng, &mut g, 0.01);
+        for &x in &g {
             if x != 0.25 {
                 changed += 1;
             }
@@ -144,7 +138,7 @@ mod tests {
     fn mutation_preserves_length() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut g = Genome::from_genes(vec![0.5; 37]);
-        mutate(&mut rng, &mut g, 0.5);
+        mutate_slice(&mut rng, g.genes_mut(), 0.5);
         assert_eq!(g.len(), 37);
     }
 
@@ -180,34 +174,19 @@ mod tests {
     fn mutate_reports_first_changed_locus() {
         let mut rng = StdRng::seed_from_u64(8);
         for _ in 0..100 {
-            let mut g = Genome::from_genes(vec![0.25; 50]);
-            match mutate(&mut rng, &mut g, 0.1) {
+            let mut g = vec![0.25; 50];
+            match mutate_slice(&mut rng, &mut g, 0.1) {
                 Some(first) => {
                     let changed: Vec<usize> =
-                        g.genes().iter().enumerate().filter(|(_, &x)| x != 0.25).map(|(i, _)| i).collect();
+                        g.iter().enumerate().filter(|(_, &x)| x != 0.25).map(|(i, _)| i).collect();
                     assert_eq!(changed.first(), Some(&first));
                 }
-                None => assert!(g.genes().iter().all(|&x| x == 0.25)),
+                None => assert!(g.iter().all(|&x| x == 0.25)),
             }
         }
         // unchanged genomes report None
-        let mut g = Genome::from_genes(vec![0.25; 5]);
-        assert_eq!(mutate(&mut rng, &mut g, 0.0), None);
-    }
-
-    #[test]
-    fn slice_mutation_matches_genome_mutation() {
-        let mut r1 = StdRng::seed_from_u64(11);
-        let mut r2 = StdRng::seed_from_u64(11);
-        for _ in 0..200 {
-            let mut g = Genome::from_genes(vec![0.25; 17]);
-            let mut flat = vec![0.25f64; 17];
-            let a = mutate(&mut r1, &mut g, 0.2);
-            let b = mutate_slice(&mut r2, &mut flat, 0.2);
-            assert_eq!(a, b);
-            assert_eq!(g.genes(), &flat[..]);
-        }
-        assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
+        let mut g = vec![0.25; 5];
+        assert_eq!(mutate_slice(&mut rng, &mut g, 0.0), None);
     }
 
     #[test]

@@ -7,27 +7,9 @@ use rayon::prelude::*;
 
 use crate::arena::{PopulationArena, NO_PARENT};
 use crate::config::{EvalMode, GaConfig};
-use crate::decode::{Decoder, PrefixHint, PrefixRef};
+use crate::decode::{Decoder, PrefixRef};
 use crate::genome::Genome;
 use crate::individual::Evaluated;
-
-/// A genome queued for evaluation, plus the decode checkpoint of its
-/// unchanged prefix (set by the breeding operators; `None` for fresh random
-/// individuals, whose whole genome is new).
-#[derive(Debug, Clone, Default)]
-pub struct Candidate {
-    /// The genome to evaluate.
-    pub genome: Genome,
-    /// Replayable prefix inherited from the donor parent, if any.
-    pub hint: Option<PrefixHint>,
-}
-
-impl Candidate {
-    /// A candidate with no reusable prefix.
-    pub fn fresh(genome: Genome) -> Candidate {
-        Candidate { genome, hint: None }
-    }
-}
 
 /// Generate the random initial population (paper §3.2): uniform random
 /// genes, lengths drawn uniformly from the spread interval around
@@ -45,57 +27,17 @@ pub fn init_population<R: Rng + ?Sized>(rng: &mut R, cfg: &GaConfig) -> Vec<Geno
         .collect()
 }
 
-/// Evaluate a set of genomes from `start`, producing [`Evaluated`]
-/// individuals in the same order.
+/// Evaluate an arena-backed generation, producing [`Evaluated`] individuals
+/// in arena order. Each individual's genes live in the shared flat buffer,
+/// and its provenance is resolved to a *borrowed* [`PrefixRef`] against
+/// `parents` (the previous, already-evaluated generation) — no
+/// per-individual hint allocation. All workers probe one shared
+/// [`SuccessorCache`].
 ///
-/// Evaluation is a pure function of each genome, so the parallel path
-/// (rayon, one [`Decoder`] per worker via `map_init`) is bitwise-identical
-/// to the sequential path — parallelism changes wall-clock, never results.
-pub fn evaluate_all<D: Domain>(
-    domain: &D,
-    start: &D::State,
-    genomes: Vec<Genome>,
-    cfg: &GaConfig,
-) -> Vec<Evaluated<D::State>> {
-    evaluate_candidates(domain, start, genomes.into_iter().map(Candidate::fresh).collect(), cfg, None)
-}
-
-/// [`evaluate_all`] through the shared evaluation layer: candidates carry
-/// prefix-reuse hints, and all workers probe one shared [`SuccessorCache`].
-/// Cache and hints are pure optimizations — results are bitwise-identical to
-/// the plain path (and between serial and parallel modes).
-pub fn evaluate_candidates<D: Domain>(
-    domain: &D,
-    start: &D::State,
-    candidates: Vec<Candidate>,
-    cfg: &GaConfig,
-    cache: Option<&SuccessorCache<D::State>>,
-) -> Vec<Evaluated<D::State>> {
-    if cfg.eval == EvalMode::Parallel {
-        candidates
-            .into_par_iter()
-            .map_init(Decoder::new, |dec, cand| {
-                let (decoded, fitness) = dec.evaluate_with(domain, start, &cand.genome, cfg, cache, cand.hint.as_ref());
-                Evaluated::new(cand.genome, decoded, fitness)
-            })
-            .collect()
-    } else {
-        let mut dec = Decoder::new();
-        candidates
-            .into_iter()
-            .map(|cand| {
-                let (decoded, fitness) = dec.evaluate_with(domain, start, &cand.genome, cfg, cache, cand.hint.as_ref());
-                Evaluated::new(cand.genome, decoded, fitness)
-            })
-            .collect()
-    }
-}
-
-/// Evaluate an arena-backed generation: each individual's genes live in the
-/// shared flat buffer, and its provenance is resolved to a *borrowed* prefix
-/// hint against `parents` (the previous, already-evaluated generation) — no
-/// per-individual hint allocation. Results are bitwise-identical to
-/// [`evaluate_candidates`] over equivalent candidates, in both eval modes.
+/// Evaluation is a pure function of each individual's genes: the parallel
+/// path (rayon, one [`Decoder`] per worker via `map_init`), the cache and the
+/// prefix hints change wall-clock, never results — every `Evaluated` is
+/// bitwise-identical to a hintless, uncached serial decode of its genes.
 pub fn evaluate_arena<D: Domain>(
     domain: &D,
     start: &D::State,
@@ -150,20 +92,6 @@ mod tests {
     use super::*;
     use gaplan_core::strips::{StripsBuilder, StripsProblem};
 
-    fn chain(n: usize) -> StripsProblem {
-        let mut b = StripsBuilder::new();
-        for i in 0..=n {
-            b.condition(&format!("s{i}")).unwrap();
-        }
-        for i in 0..n {
-            b.op(&format!("step{i}"), &[&format!("s{i}")], &[&format!("s{}", i + 1)], &[&format!("s{i}")], 1.0)
-                .unwrap();
-        }
-        b.init(&["s0"]).unwrap();
-        b.goal(&[&format!("s{n}")]).unwrap();
-        b.build().unwrap()
-    }
-
     fn small_cfg() -> GaConfig {
         GaConfig { population_size: 30, initial_len: 8, max_len: 16, seed: 99, ..GaConfig::default() }
     }
@@ -201,61 +129,93 @@ mod tests {
         assert!(pop.iter().all(|g| g.len() <= 16));
     }
 
-    #[test]
-    fn parallel_and_sequential_evaluation_agree() {
-        let d = chain(6);
-        let mut cfg = small_cfg();
-        let mut rng = phase_rng(&cfg, 0);
-        let pop = init_population(&mut rng, &cfg);
-
-        cfg.eval = EvalMode::Parallel;
-        let par = evaluate_all(&d, &d.initial_state(), pop.clone(), &cfg);
-        cfg.eval = EvalMode::Serial;
-        let seq = evaluate_all(&d, &d.initial_state(), pop, &cfg);
-
-        assert_eq!(par.len(), seq.len());
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.genome, s.genome);
-            assert_eq!(p.ops, s.ops);
-            assert_eq!(p.fitness.total, s.fitness.total);
-            assert_eq!(p.final_state, s.final_state);
+    /// A line of positions `0..=n` with left and right moves (two valid ops
+    /// at every interior position); the goal is the right end.
+    fn line(n: usize) -> StripsProblem {
+        let mut b = StripsBuilder::new();
+        for i in 0..=n {
+            b.condition(&format!("at{i}")).unwrap();
         }
+        for i in 0..n {
+            let (here, next) = (format!("at{i}"), format!("at{}", i + 1));
+            b.op(&format!("right{i}"), &[&here], &[&next], &[&here], 1.0).unwrap();
+            b.op(&format!("left{}", i + 1), &[&next], &[&here], &[&next], 1.0).unwrap();
+        }
+        b.init(&["at0"]).unwrap();
+        b.goal(&[&format!("at{n}")]).unwrap();
+        b.build().unwrap()
     }
 
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One batch mixing fresh, prefix-replaying and whole-donor individuals,
+    /// evaluated serial and parallel, with and without a shared cache: every
+    /// result, in order, equals a hintless, uncached decode of its genes.
     #[test]
-    fn shared_cache_changes_nothing_serial_or_parallel() {
-        use gaplan_core::SuccessorCache;
-        let d = chain(6);
+    fn arena_evaluation_matches_scratch_decode_in_every_mode() {
+        use crate::arena::Provenance;
+        let d = line(6);
+        let start = d.initial_state();
         let mut cfg = small_cfg();
         let mut rng = phase_rng(&cfg, 0);
-        let pop = init_population(&mut rng, &cfg);
-        let plain = evaluate_all(&d, &d.initial_state(), pop.clone(), &cfg);
+        let mut first = PopulationArena::new();
+        for g in init_population(&mut rng, &cfg) {
+            first.push(g.genes(), Provenance::NONE);
+        }
+        let parents = evaluate_arena(&d, &start, &first, &[], &cfg, None);
 
-        let cache = SuccessorCache::new(1024);
-        for eval in [EvalMode::Serial, EvalMode::Parallel] {
-            cfg.eval = eval;
-            let cands: Vec<Candidate> = pop.iter().cloned().map(Candidate::fresh).collect();
-            let cached = evaluate_candidates(&d, &d.initial_state(), cands, &cfg, Some(&cache));
-            for (p, c) in plain.iter().zip(&cached) {
-                assert_eq!(p.genome, c.genome);
-                assert_eq!(p.ops, c.ops);
-                assert_eq!(p.match_keys, c.match_keys);
-                assert_eq!(p.fitness.total.to_bits(), c.fitness.total.to_bits());
-                assert_eq!(p.final_state, c.final_state);
+        let mut arena = PopulationArena::new();
+        let mut replayed = 0;
+        for i in 0..cfg.population_size {
+            let p = rng.gen_range(0..parents.len());
+            let donor = parents[p].genome.genes();
+            match i % 3 {
+                0 => arena.push(Genome::random(&mut rng, 10).genes(), Provenance::NONE),
+                1 => {
+                    let k = rng.gen_range(0..=donor.len());
+                    replayed += k.min(parents[p].decoded_len);
+                    let tail = Genome::random(&mut rng, 6);
+                    arena.push_splice(donor, k, tail.genes(), 0, cfg.max_len, Provenance::prefix(p, k));
+                }
+                _ => {
+                    replayed += parents[p].decoded_len;
+                    arena.push(donor, Provenance::full(p));
+                }
             }
         }
-        assert!(cache.stats().hits > 0, "populations share states; the cache must hit");
-    }
+        assert!(replayed > 0, "the batch must replay some donor prefix");
+        let reference: Vec<_> = (0..arena.len())
+            .map(|i| Decoder::new().evaluate_ref(&d, &start, arena.genes(i), &cfg, None, None))
+            .collect();
 
-    #[test]
-    fn evaluation_preserves_order() {
-        let d = chain(3);
-        let cfg = small_cfg();
-        let genomes =
-            vec![Genome::from_genes(vec![0.1]), Genome::from_genes(vec![0.2, 0.3]), Genome::from_genes(vec![])];
-        let evald = evaluate_all(&d, &d.initial_state(), genomes.clone(), &cfg);
-        for (g, e) in genomes.iter().zip(&evald) {
-            assert_eq!(g, &e.genome);
+        for eval in [EvalMode::Serial, EvalMode::Parallel] {
+            for cached in [false, true] {
+                cfg.eval = eval;
+                let cache = SuccessorCache::new(1024);
+                let got = evaluate_arena(&d, &start, &arena, &parents, &cfg, cached.then_some(&cache));
+                assert_eq!(got.len(), arena.len());
+                for (i, (e, (dec, fit))) in got.iter().zip(&reference).enumerate() {
+                    let what = format!("{eval:?}, cache {cached}, individual {i}");
+                    assert_eq!(e.genome.genes(), arena.genes(i), "{what}: genes");
+                    assert_eq!(e.ops, dec.ops, "{what}: ops");
+                    assert_eq!(e.match_keys, dec.match_keys, "{what}: match keys");
+                    assert_eq!(bits(&e.step_goals), bits(&dec.step_goals), "{what}: step goals");
+                    assert_eq!(e.final_state, dec.final_state, "{what}: final state");
+                    assert_eq!(e.decoded_len, dec.decoded_len, "{what}: decoded len");
+                    assert_eq!(e.best_prefix_at, dec.best_prefix_at, "{what}: best prefix");
+                    assert_eq!(e.best_prefix_state, dec.best_prefix_state, "{what}: best prefix state");
+                    assert_eq!(
+                        bits(&[e.fitness.match_, e.fitness.goal, e.fitness.cost, e.fitness.total]),
+                        bits(&[fit.match_, fit.goal, fit.cost, fit.total]),
+                        "{what}: fitness"
+                    );
+                }
+                if cached {
+                    assert!(cache.stats().hits > 0, "{eval:?}: individuals share states; the cache must hit");
+                }
+            }
         }
     }
 

@@ -1,5 +1,5 @@
 //! Population seeding strategies, after Westerberg & Levine (the paper's
-//! ref. [22]): "Seeding partial solutions and keeping some randomness in
+//! ref. \[22\]): "Seeding partial solutions and keeping some randomness in
 //! the initial population appear to benefit GP performance."
 //!
 //! A seeding strategy replaces a fraction of the random initial population
@@ -39,7 +39,7 @@ pub enum SeedStrategy {
 }
 
 /// Build an initial population with `seed_fraction` of the individuals
-/// produced by `strategy` and the rest random (ref. [22]'s "keeping some
+/// produced by `strategy` and the rest random (ref. \[22\]'s "keeping some
 /// randomness" finding). Always returns exactly `cfg.population_size`
 /// genomes.
 pub fn seeded_population<D: Domain, R: Rng + ?Sized>(
@@ -177,7 +177,8 @@ mod tests {
         // the first 10 slots hold seeds; greedy walks on the graded chain go
         // straight forward, so they decode to high-fitness states
         let mut dec = Decoder::new();
-        let seeded = dec.decode(&d, &d.initial_state(), &pop[0], false, StateMatchMode::ExactState);
+        let seeded =
+            dec.decode_ref(&d, &d.initial_state(), pop[0].genes(), false, StateMatchMode::ExactState, None, None);
         let fit = gaplan_core::Domain::goal_fitness(&d, &seeded.final_state);
         assert!(fit >= 0.9, "greedy seed reached fitness {fit}");
     }
@@ -192,7 +193,8 @@ mod tests {
         let pop =
             seeded_population(&d, &d.initial_state(), &c, &SeedStrategy::Plans(vec![plan.clone()]), 0.3, &mut rng);
         let mut dec = Decoder::new();
-        let decoded = dec.decode(&d, &d.initial_state(), &pop[0], false, StateMatchMode::ExactState);
+        let decoded =
+            dec.decode_ref(&d, &d.initial_state(), pop[0].genes(), false, StateMatchMode::ExactState, None, None);
         assert_eq!(decoded.ops, plan);
     }
 
@@ -231,7 +233,8 @@ mod tests {
         let avg_seeded: f64 = pop
             .iter()
             .map(|g| {
-                let r = dec.decode(&d, &d.initial_state(), g, false, StateMatchMode::ExactState);
+                let r =
+                    dec.decode_ref(&d, &d.initial_state(), g.genes(), false, StateMatchMode::ExactState, None, None);
                 gaplan_core::Domain::goal_fitness(&d, &r.final_state)
             })
             .sum::<f64>()
@@ -241,7 +244,8 @@ mod tests {
         let avg_random: f64 = random
             .iter()
             .map(|g| {
-                let r = dec.decode(&d, &d.initial_state(), g, false, StateMatchMode::ExactState);
+                let r =
+                    dec.decode_ref(&d, &d.initial_state(), g.genes(), false, StateMatchMode::ExactState, None, None);
                 gaplan_core::Domain::goal_fitness(&d, &r.final_state)
             })
             .sum::<f64>()

@@ -1,11 +1,11 @@
 //! Property-based tests for the GA operators: genome algebra, crossover
 //! length bounds, mutation range preservation, selection sanity.
 
-use gaplan_ga::crossover::{crossover, CrossoverOutcome};
+use gaplan_ga::crossover::{crossover_plan, CrossoverPlan};
 use gaplan_ga::decode::gene_to_index;
-use gaplan_ga::mutation::{length_mutate, mutate};
+use gaplan_ga::mutation::{length_mutate, mutate_slice};
 use gaplan_ga::selection::select_parent;
-use gaplan_ga::{CrossoverKind, Evaluated, Fitness, Genome, SelectionScheme};
+use gaplan_ga::{CrossoverKind, Evaluated, Fitness, Genome, PopulationArena, SelectionScheme};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,17 +45,17 @@ proptest! {
         let a = evaluated(ga.clone(), 0x9e3779b97f4a7c15);
         let b = evaluated(gb.clone(), 0xdeadbeefcafef00d);
         let mut rng = StdRng::seed_from_u64(seed);
-        match crossover(&mut rng, kind, &a, &b, max_len) {
-            CrossoverOutcome::Children(c1, c2) | CrossoverOutcome::FallbackChildren(c1, c2) => {
-                for c in [&c1, &c2] {
-                    prop_assert!(c.len() <= max_len);
-                    for g in c.genes() {
-                        prop_assert!(ga.contains(g) || gb.contains(g), "gene {} not from a parent", g);
-                    }
+        let plan = crossover_plan(&mut rng, kind, &a, &b);
+        let mut arena = PopulationArena::new();
+        plan.materialize_into(&mut arena, &a, 0, &b, 1, max_len);
+        if plan == CrossoverPlan::Unchanged {
+            prop_assert_eq!(kind, CrossoverKind::StateAware, "only state-aware may decline");
+        } else {
+            for c in arena.iter() {
+                prop_assert!(c.len() <= max_len);
+                for g in c {
+                    prop_assert!(ga.contains(g) || gb.contains(g), "gene {} not from a parent", g);
                 }
-            }
-            CrossoverOutcome::Unchanged => {
-                prop_assert_eq!(kind, CrossoverKind::StateAware, "only state-aware may decline");
             }
         }
     }
@@ -66,19 +66,19 @@ proptest! {
         let a = evaluated(ga.clone(), 1);
         let b = evaluated(gb.clone(), 2);
         let mut rng = StdRng::seed_from_u64(seed);
-        if let Some((c1, c2)) = crossover(&mut rng, CrossoverKind::Random, &a, &b, usize::MAX).into_children() {
-            prop_assert_eq!(c1.len() + c2.len(), ga.len() + gb.len());
-        }
+        let mut arena = PopulationArena::new();
+        crossover_plan(&mut rng, CrossoverKind::Random, &a, &b).materialize_into(&mut arena, &a, 0, &b, 1, usize::MAX);
+        prop_assert_eq!(arena.total_genes(), ga.len() + gb.len());
     }
 
     /// Mutation keeps genes inside [0, 1) and never changes length.
     #[test]
     fn mutation_preserves_domain_and_length(genes in arb_genes(), rate in 0.0f64..1.0, seed in any::<u64>()) {
-        let mut g = Genome::from_genes(genes.clone());
+        let mut g = genes.clone();
         let mut rng = StdRng::seed_from_u64(seed);
-        mutate(&mut rng, &mut g, rate);
+        mutate_slice(&mut rng, &mut g, rate);
         prop_assert_eq!(g.len(), genes.len());
-        for v in g.genes() {
+        for v in &g {
             prop_assert!((0.0..1.0).contains(v));
         }
     }

@@ -9,7 +9,7 @@
 //!   per-thread with [`install`]; when no subscriber is installed every
 //!   instrumentation site is a branch on a thread-local flag and nothing
 //!   else (benchmarked in `crates/bench/tests/obs_guard.rs`).
-//! * [`span`] — RAII wall-clock timing around a region, reported to the
+//! * [`span()`] — RAII wall-clock timing around a region, reported to the
 //!   subscriber on drop.
 //! * [`Counter`] / [`Histogram`] — lock-free monotonic counters and
 //!   log2-bucket histograms for metrics aggregation.
@@ -106,7 +106,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     }
 }
 
-/// RAII handle returned by [`span`].
+/// RAII handle returned by [`span()`].
 pub struct SpanGuard {
     name: &'static str,
     start: Option<Instant>,

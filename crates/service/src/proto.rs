@@ -10,7 +10,7 @@
 //! {"cmd":"shutdown"}
 //! ```
 //!
-//! Each output line is one JSON object: a [`PlanResponse`] for a finished
+//! Each output line is one JSON object: a [`PlanResponse`](crate::PlanResponse) for a finished
 //! job, `{"ack":"cancel","id":N,"found":bool}` for a cancel,
 //! `{"metrics":{...}}` for a metrics query, `{"health":{...}}` for a
 //! health probe, or `{"status":"Error","error":"..."}` (with the request
