@@ -28,7 +28,7 @@ use std::time::Duration;
 use gaplan_obs::{self as obs, Event};
 use gaplan_service::journal::JobJournal;
 use gaplan_service::session::{LineOutcome, Session, SessionHost, SessionMode};
-use gaplan_service::ServiceConfig;
+use gaplan_service::{Metric, ServiceConfig};
 use parking_lot::Mutex;
 
 use crate::codec::{write_frame, Frame, FrameError, FrameReader};
@@ -131,10 +131,10 @@ impl TcpServer {
                         }
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {
                             // EINTR: retry immediately, no budget consumed.
-                            host.metrics().on_accept_retried();
+                            host.metrics().inc(Metric::AcceptsRetried);
                         }
                         Err(_) => {
-                            host.metrics().on_accept_retried();
+                            host.metrics().inc(Metric::AcceptsRetried);
                             std::thread::sleep(accept_retry_backoff(accept_backoff));
                             accept_backoff = accept_backoff.saturating_add(1);
                         }
@@ -234,8 +234,8 @@ fn run_conn(host: &Arc<SessionHost>, stream: TcpStream, peer: SocketAddr, opts: 
             Ok(Some(Frame::Reject(err))) => {
                 last_frame = std::time::Instant::now();
                 match &err {
-                    FrameError::Oversize { .. } => host.metrics().on_frame_oversize(),
-                    FrameError::Malformed | FrameError::Truncated => host.metrics().on_frame_malformed(),
+                    FrameError::Oversize { .. } => host.metrics().inc(Metric::FramesOversize),
+                    FrameError::Malformed | FrameError::Truncated => host.metrics().inc(Metric::FramesMalformed),
                 }
                 session.report_error(None, &err.message());
             }
@@ -248,7 +248,7 @@ fn run_conn(host: &Arc<SessionHost>, stream: TcpStream, peer: SocketAddr, opts: 
                 }
                 if let Some(idle) = opts.idle_timeout {
                     if last_frame.elapsed() >= idle {
-                        host.metrics().on_conn_reaped();
+                        host.metrics().inc(Metric::ConnsReaped);
                         obs::emit(|| {
                             Event::new("svc.conn")
                                 .str("op", "reap")

@@ -185,6 +185,36 @@ fn duplicate_id_with_identical_payload_joins_and_answers_exactly_once() {
 }
 
 #[test]
+fn duplicate_id_without_coalescing_is_rejected_and_counted() {
+    let server = start(NetOptions { coalesce: false, ..NetOptions::default() }, 1);
+    let (mut stream, mut reader) = connect(&server);
+
+    // Without coalescing an identical resend cannot join the in-flight
+    // job: it is a plain duplicate id, rejected and counted as such.
+    let line = r#"{"cmd":"plan","id":8,"problem":{"Hanoi":{"disks":10}},"ga":{"population":400,"generations":400,"phases":5}}"#;
+    send(&mut stream, line);
+    send(&mut stream, line);
+    let second = recv(&mut reader);
+    assert_eq!(num(&second, "id"), 8);
+    assert_eq!(second.get("status").and_then(Value::as_str), Some("Rejected"));
+    let msg = second.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(msg.contains("already in flight on this connection"), "{msg}");
+
+    send(&mut stream, r#"{"cmd":"metrics"}"#);
+    let metrics = recv(&mut reader);
+    let m = metrics.get("metrics").expect("metrics body");
+    assert_eq!(num(m, "jobs_rejected"), 1, "the duplicate must count as a rejection: {m:?}");
+
+    send(&mut stream, r#"{"cmd":"cancel","id":8}"#);
+    let ack = recv(&mut reader);
+    assert_eq!(ack.get("ack").and_then(Value::as_str), Some("cancel"));
+
+    drop(stream);
+    drop(reader);
+    server.stop().expect("clean stop");
+}
+
+#[test]
 fn disconnect_mid_job_cancels_the_abandoned_work() {
     let server = start(NetOptions::default(), 1);
 

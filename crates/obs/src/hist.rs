@@ -1,34 +1,9 @@
-//! Metrics primitives: monotonic counters and log2-bucket histograms.
+//! Metrics primitive: the log2-bucket histogram.
 //!
 //! The histogram trades resolution for mergeability: 64 power-of-two
 //! buckets make `merge` a bucket-wise add, which is associative and
 //! commutative (property-tested in `tests/prop_obs.rs`) — so per-worker
 //! histograms can be folded into a service-wide snapshot in any order.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A monotonically increasing counter. Snapshots taken over time are
-/// non-decreasing; there is deliberately no `reset`.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 const BUCKETS: usize = 64;
 
@@ -136,14 +111,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_is_monotone() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn bucket_boundaries() {

@@ -11,8 +11,8 @@
 //!   else (benchmarked in `crates/bench/tests/obs_guard.rs`).
 //! * [`span()`] — RAII wall-clock timing around a region, reported to the
 //!   subscriber on drop.
-//! * [`Counter`] / [`Histogram`] — lock-free monotonic counters and
-//!   log2-bucket histograms for metrics aggregation.
+//! * [`Histogram`] — mergeable log2-bucket histograms for metrics
+//!   aggregation.
 //! * [`golden`] — masking helpers that blank wall-clock fields so traces
 //!   can be compared byte-for-byte across runs.
 //!
@@ -33,7 +33,7 @@ pub mod span;
 pub mod subscriber;
 
 pub use event::{Event, FieldValue};
-pub use hist::{Counter, Histogram};
+pub use hist::Histogram;
 pub use span::SpanStack;
 pub use subscriber::{JsonlSink, NoopSubscriber, RecordingSubscriber, SharedBuf, Subscriber};
 

@@ -26,7 +26,7 @@ use gaplan_obs::{self as obs, Event};
 use parking_lot::Mutex;
 
 use crate::journal::JobJournal;
-use crate::metrics::Metrics;
+use crate::metrics::{Metric, Metrics};
 use crate::request::{JobStatus, PlanRequest, PlanResponse};
 use crate::service::{PlanService, SubmitError};
 
@@ -286,7 +286,7 @@ impl Dispatch {
 
         let internal = match outcome {
             Submitted::Rejoined { leader, key } => {
-                self.metrics.on_retry_joined();
+                self.metrics.inc(Metric::RetriesJoined);
                 obs::emit(|| {
                     Event::new("svc.idem").str("op", "join").u64("id", client_id).u64("leader", leader).u64("key", key)
                 });
@@ -305,6 +305,7 @@ impl Dispatch {
                 return;
             }
             Submitted::Duplicate => {
+                self.metrics.inc(Metric::JobsRejected);
                 let resp = PlanResponse::failure(
                     client_id,
                     JobStatus::Rejected,
@@ -315,7 +316,7 @@ impl Dispatch {
                 return;
             }
             Submitted::Joined { leader, key } => {
-                self.metrics.on_coalesced();
+                self.metrics.inc(Metric::CoalescedJobs);
                 obs::emit(|| Event::new("svc.coalesced").u64("id", client_id).u64("leader", leader).u64("key", key));
                 return;
             }
@@ -333,7 +334,7 @@ impl Dispatch {
                 self.fail_entry(internal, JobStatus::Error, &format!("journal write failed: {e}"), false);
                 return;
             }
-            self.metrics.on_journal_append();
+            self.metrics.inc(Metric::JournalAppends);
         }
         match service.submit(internal_req) {
             Ok(token) => self.store_token(internal, token),
@@ -461,7 +462,7 @@ impl Dispatch {
         if journal_done {
             if let Some(journal) = &self.journal {
                 if journal.record_done(&PlanResponse::failure(internal, status, message)).is_ok() {
-                    self.metrics.on_journal_append();
+                    self.metrics.inc(Metric::JournalAppends);
                 }
             }
         }
@@ -482,7 +483,7 @@ impl Dispatch {
             // A failed append still answers the client: availability over
             // durability (the job may re-run after a crash).
             if journal.record_done(resp).is_ok() {
-                self.metrics.on_journal_append();
+                self.metrics.inc(Metric::JournalAppends);
             }
         }
         let waiters = {

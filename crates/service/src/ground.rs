@@ -21,7 +21,7 @@ use gaplan_core::strips::StripsProblem;
 use gaplan_core::SigBuilder;
 use rustc_hash::FxHashMap;
 
-use crate::metrics::Metrics;
+use crate::metrics::{Metric, Metrics};
 
 /// Distinct (domain, problem) texts cached per process.
 const CAPACITY: usize = 128;
@@ -64,9 +64,9 @@ pub fn ground_cached(domain: &str, problem: &str, metrics: Option<&Metrics>) -> 
     if let Some(cached) = cache().lock().expect("ground cache mutex poisoned").get_mut(&key) {
         if let Some(m) = metrics {
             if std::mem::take(&mut cached.miss_pending) {
-                m.on_ground_cache_miss();
+                m.inc(Metric::GroundCacheMisses);
             } else {
-                m.on_ground_cache_hit();
+                m.inc(Metric::GroundCacheHits);
             }
         }
         return cached.result.clone();
@@ -79,7 +79,7 @@ pub fn ground_cached(domain: &str, problem: &str, metrics: Option<&Metrics>) -> 
         Err(e) => Err(e.summary()),
     };
     if let Some(m) = metrics {
-        m.on_ground_cache_miss();
+        m.inc(Metric::GroundCacheMisses);
     }
     let mut map = cache().lock().unwrap();
     if map.len() >= CAPACITY {
@@ -103,8 +103,8 @@ mod tests {
         let second = ground_cached(DOM, PROB, Some(&m)).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "second build must be served from the cache");
         let s = m.snapshot();
-        assert_eq!(s.ground_cache_misses, 1);
-        assert_eq!(s.ground_cache_hits, 1);
+        assert_eq!(s[Metric::GroundCacheMisses], 1);
+        assert_eq!(s[Metric::GroundCacheHits], 1);
     }
 
     #[test]
@@ -113,14 +113,14 @@ mod tests {
         let bad = "domain broken\n!";
         assert!(ground_cached(bad, PROB, Some(&m)).is_err());
         assert!(ground_cached(bad, PROB, Some(&m)).is_err());
-        assert_eq!(m.snapshot().ground_cache_hits, 1);
+        assert_eq!(m.snapshot()[Metric::GroundCacheHits], 1);
     }
 
     #[test]
     fn uncounted_probe_leaves_metrics_alone() {
         let m = Metrics::new();
         let _ = ground_cached(DOM, "problem q2 domain d\nobjects b: t\ninit: p(b)\ngoal: p(b)\n", None);
-        assert_eq!(m.snapshot().ground_cache_misses, 0);
+        assert_eq!(m.snapshot()[Metric::GroundCacheMisses], 0);
     }
 
     #[test]
@@ -134,6 +134,6 @@ mod tests {
         let _ = ground_cached(DOM, prob, None);
         let _ = ground_cached(DOM, prob, Some(&m));
         let s = m.snapshot();
-        assert_eq!((s.ground_cache_misses, s.ground_cache_hits), (1, 1));
+        assert_eq!((s[Metric::GroundCacheMisses], s[Metric::GroundCacheHits]), (1, 1));
     }
 }

@@ -17,8 +17,9 @@
 //! * **Plan cache** ([`PlanCache`]): keyed by stable problem + config
 //!   signatures, LRU-bounded; identical resubmissions are answered without
 //!   rerunning the GA.
-//! * **Metrics** ([`Metrics`]): submission/completion/cancel counts, queue
-//!   depth, wall times and cache hit rate as a serializable snapshot.
+//! * **Metrics** ([`Metrics`]): one static table of named counters and
+//!   gauges ([`metrics::TABLE`], indexed by [`Metric`]) plus wall-time and
+//!   queue-wait histograms, read as a serializable [`MetricsSnapshot`].
 //! * **Wire protocol** ([`serve`]): newline-delimited JSON over any
 //!   reader/writer pair, used by `gaplan serve`; responses stream back as
 //!   jobs finish, out of order.
@@ -34,7 +35,9 @@
 //! * **Self-healing** ([`PlanService`]): jobs run under `catch_unwind`
 //!   with a bounded panic-retry policy, a supervisor respawns worker
 //!   threads that die anyway, a full queue sheds load after an admission
-//!   timeout, and `{"cmd":"health"}` reports live workers and queue depth.
+//!   timeout, and the metrics snapshot reports live vs configured workers,
+//!   queue depth and active jobs (`{"cmd":"health"}` is an alias of
+//!   `{"cmd":"metrics"}`).
 //!   [`ProblemSpec::Chaos`] injects panics on purpose to test all of it.
 
 #![warn(missing_docs)]
@@ -53,10 +56,10 @@ pub mod session;
 
 pub use cache::{CachedPlan, PlanCache};
 pub use journal::{CacheEntrySer, JobJournal, JournalRecord, Recovery};
-pub use metrics::{BucketCount, HistogramSummary, Metrics, MetricsSnapshot};
+pub use metrics::{BucketCount, HistogramSummary, Metric, Metrics, MetricsSnapshot};
 pub use overload::{OverloadConfig, OverloadControl};
 pub use proto::{parse_command, serve, serve_with_journal, Command, ProtoError};
 pub use replan::ServiceReplanner;
 pub use request::{BuiltProblem, GaOverrides, JobStatus, PlanRequest, PlanResponse, ProblemSpec, SolveOutcome};
-pub use service::{HealthReport, ObsHandle, PlanService, ServiceConfig, ServiceError, SubmitError};
+pub use service::{ObsHandle, PlanService, ServiceConfig, ServiceError, SubmitError};
 pub use session::{LineOutcome, Session, SessionHost, SessionMode};

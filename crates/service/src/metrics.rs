@@ -1,60 +1,110 @@
-//! Service metrics: lock-free counters updated by workers and the submit
-//! path, snapshotted into a serializable [`MetricsSnapshot`].
+//! Service metrics: one static table of named cells, updated lock-free by
+//! workers, sessions and the TCP front-end, and snapshotted into a
+//! serializable [`MetricsSnapshot`].
 //!
-//! Besides the counters, two log2-bucket [`Histogram`]s track latency
-//! distributions — per-job wall time and queue wait — rolled up into
-//! [`HistogramSummary`] values in the snapshot and into percentile fields
-//! of the `health` wire command.
+//! [`TABLE`] is the single list of counters and gauges: each entry gives
+//! the wire name, the [`Kind`] and help text, and [`Metric`] indexes it.
+//! The snapshot walks the table to build the `metrics` reply (which the
+//! `health` wire command repeats under its own key). Besides the cells, EWMAs of
+//! queue wait and execution time feed the overload controllers, and two log2-bucket
+//! [`Histogram`]s track per-job wall time and queue wait, rolled up into
+//! [`HistogramSummary`] values in the snapshot.
 
+use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gaplan_obs::Histogram;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::json::write_json_string;
+use serde::Serialize;
 
-/// Live counters. All updates use relaxed ordering — the snapshot is a
+/// Whether a cell only grows or may also go down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotone event count since startup.
+    Counter,
+    /// Current level (queue depth, open connections, ...) or high-water mark.
+    Gauge,
+}
+
+/// One row of [`TABLE`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetricDef {
+    /// Wire name: the key in the `metrics` reply.
+    pub name: &'static str,
+    /// Counter or gauge.
+    pub kind: Kind,
+    /// One-line description.
+    pub help: &'static str,
+}
+
+macro_rules! metric_table {
+    ($($variant:ident: $kind:ident $name:literal $help:literal,)*) => {
+        /// A cell of the metrics table; its discriminant indexes [`TABLE`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Metric {
+            $(#[doc = $help] $variant,)*
+        }
+
+        /// Every cell in [`Metric`] order: wire name, kind and help text.
+        pub const TABLE: &[MetricDef] = &[$(MetricDef { name: $name, kind: Kind::$kind, help: $help },)*];
+    };
+}
+
+metric_table! {
+    JobsSubmitted: Counter "jobs_submitted" "Jobs accepted onto the queue.",
+    JobsCompleted: Counter "jobs_completed" "Jobs that produced a response (including timeouts and cancellations).",
+    JobsSolved: Counter "jobs_solved" "Completed jobs whose plan reached the goal.",
+    JobsTimedOut: Counter "jobs_timed_out" "Jobs stopped by their deadline.",
+    JobsCancelled: Counter "jobs_cancelled" "Jobs stopped by cancellation.",
+    JobsRejected: Counter "jobs_rejected" "Submissions rejected before queueing.",
+    JobsErrored: Counter "jobs_errored" "Jobs whose problem failed to build.",
+    CacheHits: Counter "cache_hits" "Jobs answered from the plan cache.",
+    CacheMisses: Counter "cache_misses" "Jobs that ran the GA.",
+    CacheEvictions: Counter "cache_evictions" "Plan-cache entries evicted (LRU) to make room for new plans.",
+    GroundCacheHits: Counter "ground_cache_hits" "`Dsl` jobs that reused an already-grounded domain.",
+    GroundCacheMisses: Counter "ground_cache_misses" "`Dsl` jobs that parsed, checked and grounded from scratch.",
+    JournalAppends: Counter "journal_appends" "Records appended to the job journal (submits and terminal replies).",
+    JournalReplayed: Counter "journal_replayed" "Intact journal records decoded during startup replay.",
+    JournalTruncatedBytes: Counter "journal_truncated_bytes" "Bytes of corrupt journal tail truncated during recovery.",
+    QueueDepth: Gauge "queue_depth" "Jobs queued: submitted, not yet dequeued by a worker.",
+    TotalWallMs: Counter "total_wall_ms" "Sum of per-job wall times, milliseconds.",
+    MaxWallMs: Gauge "max_wall_ms" "Largest single-job wall time, milliseconds.",
+    FaultsInjected: Counter "faults_injected" "Faults deliberately injected by chaos jobs.",
+    PanicsCaught: Counter "panics_caught" "Job panics a worker caught (or died to).",
+    JobsRetried: Counter "jobs_retried" "Panicked jobs re-attempted under the retry policy.",
+    WorkersRespawned: Counter "workers_respawned" "Dead worker threads the supervisor replaced.",
+    JobsShed: Counter "jobs_shed" "Jobs shed: admission timeout, connection write backlog or CoDel head drop.",
+    ReplansFailed: Counter "replans_failed" "Service-backed replans that got no answer (dead or rejecting service).",
+    WorkersAlive: Gauge "workers_alive" "Worker threads currently alive.",
+    WorkersConfigured: Gauge "workers_configured" "Worker threads the service was configured with.",
+    ActiveJobs: Gauge "active_jobs" "Jobs queued or running (cancellable ids).",
+    CoalescedJobs: Counter "coalesced_jobs" "Jobs that joined an identical in-flight computation (singleflight).",
+    ConnsAccepted: Counter "conns_accepted" "TCP connections accepted since startup.",
+    ConnsOpen: Gauge "conns_open" "TCP connections currently open.",
+    ConnsDropped: Counter "conns_dropped" "TCP connections that vanished with jobs still in flight.",
+    ConnsReaped: Counter "conns_reaped" "Idle or stalled connections reaped by the per-connection read timeout.",
+    FramesOversize: Counter "frames_oversize" "Inbound frames rejected for exceeding the per-frame size cap.",
+    FramesMalformed: Counter "frames_malformed" "Inbound frames rejected as malformed (bad UTF-8 or unparseable).",
+    JobsRejectedDeadline: Counter "jobs_rejected_deadline"
+        "Submissions rejected as deadline-unmeetable (subset of `jobs_rejected`).",
+    JobsExpiredInQueue: Counter "jobs_expired_in_queue" "Jobs fast-failed at dequeue: their deadline had passed.",
+    JobsDegraded: Counter "jobs_degraded" "Jobs run with a brownout-scaled (degraded) GA budget.",
+    CodelDrops: Counter "codel_drops" "Jobs shed from the queue head by the CoDel controller.",
+    RetriesJoined: Counter "retries_joined" "In-flight id resubmissions folded into the running job (same payload).",
+    RetriesConflict: Counter "retries_conflict"
+        "In-flight id resubmissions with a new payload (subset of `jobs_rejected`).",
+    AcceptsRetried: Counter "accepts_retried" "Transient accept-loop errors retried with backoff.",
+}
+
+/// Number of cells in [`TABLE`].
+pub const CELLS: usize = TABLE.len();
+
+/// Live metrics. All updates use relaxed ordering — the snapshot is a
 /// statistical view, not a synchronization point.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Metrics {
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_solved: AtomicU64,
-    jobs_timed_out: AtomicU64,
-    jobs_cancelled: AtomicU64,
-    jobs_rejected: AtomicU64,
-    jobs_errored: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
-    ground_cache_hits: AtomicU64,
-    ground_cache_misses: AtomicU64,
-    journal_appends: AtomicU64,
-    journal_replayed: AtomicU64,
-    journal_truncated_bytes: AtomicU64,
-    queue_depth: AtomicU64,
-    total_wall_ms: AtomicU64,
-    max_wall_ms: AtomicU64,
-    faults_injected: AtomicU64,
-    panics_caught: AtomicU64,
-    jobs_retried: AtomicU64,
-    workers_respawned: AtomicU64,
-    jobs_shed: AtomicU64,
-    replans_failed: AtomicU64,
-    workers_alive: AtomicU64,
-    coalesced_jobs: AtomicU64,
-    conns_accepted: AtomicU64,
-    conns_open: AtomicU64,
-    conns_dropped: AtomicU64,
-    conns_reaped: AtomicU64,
-    frames_oversize: AtomicU64,
-    frames_malformed: AtomicU64,
-    jobs_rejected_deadline: AtomicU64,
-    jobs_expired_in_queue: AtomicU64,
-    jobs_degraded: AtomicU64,
-    codel_drops: AtomicU64,
-    retries_joined: AtomicU64,
-    retries_conflict: AtomicU64,
-    accepts_retried: AtomicU64,
+    cells: [AtomicU64; CELLS],
     /// EWMA of queue wait, microseconds (α = 1/4); 0 until the first
     /// nonzero sample. Stored as plain bits — the racy read-modify-write
     /// is fine for a statistical signal.
@@ -67,21 +117,53 @@ pub struct Metrics {
     queue_wait_ms_hist: Mutex<Histogram>,
 }
 
+impl Default for Metrics {
+    fn default() -> Self {
+        Metrics {
+            cells: std::array::from_fn(|_| AtomicU64::new(0)),
+            queue_wait_ewma_us: AtomicU64::new(0),
+            exec_ewma_us: AtomicU64::new(0),
+            wall_ms_hist: Mutex::new(Histogram::new()),
+            queue_wait_ms_hist: Mutex::new(Histogram::new()),
+        }
+    }
+}
+
 impl Metrics {
     /// Fresh all-zero metrics.
     pub fn new() -> Self {
         Metrics::default()
     }
 
+    /// Add one to a cell.
+    pub fn inc(&self, m: Metric) {
+        self.add(m, 1);
+    }
+
+    /// Add `n` to a cell.
+    pub fn add(&self, m: Metric, n: u64) {
+        self.cells[m as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Subtract `n` from a gauge.
+    pub fn sub(&self, m: Metric, n: u64) {
+        self.cells[m as usize].fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// Current value of a cell.
+    pub fn get(&self, m: Metric) -> u64 {
+        self.cells[m as usize].load(Ordering::Relaxed)
+    }
+
     /// A job was accepted onto the queue.
     pub fn on_submit(&self) {
-        self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-        self.queue_depth.fetch_add(1, Ordering::Relaxed);
+        self.inc(Metric::JobsSubmitted);
+        self.inc(Metric::QueueDepth);
     }
 
     /// A worker dequeued a job after it waited `wait_ms` on the queue.
     pub fn on_dequeue(&self, wait_ms: u64) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.sub(Metric::QueueDepth, 1);
         self.queue_wait_ms_hist.lock().record(wait_ms);
         ewma_update(&self.queue_wait_ewma_us, wait_ms.saturating_mul(1000));
     }
@@ -103,270 +185,60 @@ impl Metrics {
         self.exec_ewma_us.load(Ordering::Relaxed) / 1000
     }
 
-    /// A submission was rejected (queue full or duplicate id).
-    pub fn on_reject(&self) {
-        self.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A job finished; `wall_ms` is submission-to-completion time.
     pub fn on_complete(&self, wall_ms: u64, solved: bool) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        self.inc(Metric::JobsCompleted);
         if solved {
-            self.jobs_solved.fetch_add(1, Ordering::Relaxed);
+            self.inc(Metric::JobsSolved);
         }
-        self.total_wall_ms.fetch_add(wall_ms, Ordering::Relaxed);
-        self.max_wall_ms.fetch_max(wall_ms, Ordering::Relaxed);
+        self.add(Metric::TotalWallMs, wall_ms);
+        self.cells[Metric::MaxWallMs as usize].fetch_max(wall_ms, Ordering::Relaxed);
         self.wall_ms_hist.lock().record(wall_ms);
-    }
-
-    /// Bucket upper bound of the `q`-quantile per-job wall time so far.
-    pub fn wall_ms_quantile(&self, q: f64) -> u64 {
-        self.wall_ms_hist.lock().quantile_upper(q)
-    }
-
-    /// Bucket upper bound of the `q`-quantile queue wait so far.
-    pub fn queue_wait_ms_quantile(&self, q: f64) -> u64 {
-        self.queue_wait_ms_hist.lock().quantile_upper(q)
-    }
-
-    /// A job hit its deadline.
-    pub fn on_timeout(&self) {
-        self.jobs_timed_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job was cancelled.
-    pub fn on_cancel(&self) {
-        self.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job failed to build its problem.
-    pub fn on_error(&self) {
-        self.jobs_errored.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The plan cache answered a job.
-    pub fn on_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The plan cache missed and the GA ran.
-    pub fn on_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The plan cache evicted its least-recently-used entry to make room.
-    pub fn on_cache_eviction(&self) {
-        self.cache_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A `Dsl` job reused an already-grounded domain from the ground cache.
-    pub fn on_ground_cache_hit(&self) {
-        self.ground_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A `Dsl` job parsed, checked and grounded its domain from scratch.
-    pub fn on_ground_cache_miss(&self) {
-        self.ground_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One record was appended (and flushed) to the job journal.
-    pub fn on_journal_append(&self) {
-        self.journal_appends.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `records` intact journal records were decoded during startup replay.
-    pub fn on_journal_replayed(&self, records: u64) {
-        self.journal_replayed.fetch_add(records, Ordering::Relaxed);
-    }
-
-    /// `bytes` of corrupt journal tail were truncated during recovery.
-    pub fn on_journal_truncated(&self, bytes: u64) {
-        self.journal_truncated_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// A chaos job deliberately injected a fault (panic) into a worker.
-    pub fn on_fault_injected(&self) {
-        self.faults_injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker caught (or died to) a panicking job.
-    pub fn on_panic(&self) {
-        self.panics_caught.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A panicked job was re-attempted under the retry policy.
-    pub fn on_retry(&self) {
-        self.jobs_retried.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The supervisor replaced a dead worker thread.
-    pub fn on_respawn(&self) {
-        self.workers_respawned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A submission was shed: the queue stayed full past the admission
-    /// timeout.
-    pub fn on_shed(&self) {
-        self.jobs_shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A submission was rejected at admission because its deadline was
     /// provably unmeetable given the estimated queue wait. Also counts
     /// toward `jobs_rejected` (it is a pre-queue rejection).
     pub fn on_rejected_deadline(&self) {
-        self.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-        self.jobs_rejected_deadline.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker dequeued a job whose deadline had already passed and
-    /// fast-failed it without running the GA.
-    pub fn on_expired_in_queue(&self) {
-        self.jobs_expired_in_queue.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job ran with a brownout-scaled (degraded) GA budget.
-    pub fn on_degraded(&self) {
-        self.jobs_degraded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The CoDel controller shed a job from the head of the queue.
-    pub fn on_codel_drop(&self) {
-        self.codel_drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An idle (or stalled half-open) connection was reaped by the
-    /// per-connection read timeout.
-    pub fn on_conn_reaped(&self) {
-        self.conns_reaped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A service-backed replan got no answer (service dead or rejecting),
-    /// as opposed to answering "no repair".
-    pub fn on_replan_failed(&self) {
-        self.replans_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job joined an identical in-flight computation instead of running.
-    pub fn on_coalesced(&self) {
-        self.coalesced_jobs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A resubmission of an in-flight request id with an identical payload
-    /// was folded into the existing computation (idempotent client retry).
-    pub fn on_retry_joined(&self) {
-        self.retries_joined.fetch_add(1, Ordering::Relaxed);
+        self.inc(Metric::JobsRejected);
+        self.inc(Metric::JobsRejectedDeadline);
     }
 
     /// A resubmission reused an in-flight request id with a *different*
     /// payload and was rejected. Also counts toward `jobs_rejected`.
     pub fn on_retry_conflict(&self) {
-        self.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-        self.retries_conflict.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The accept loop hit a transient error (EINTR/EMFILE/...) and
-    /// retried with backoff instead of exiting.
-    pub fn on_accept_retried(&self) {
-        self.accepts_retried.fetch_add(1, Ordering::Relaxed);
+        self.inc(Metric::JobsRejected);
+        self.inc(Metric::RetriesConflict);
     }
 
     /// A TCP connection was accepted.
     pub fn on_conn_accept(&self) {
-        self.conns_accepted.fetch_add(1, Ordering::Relaxed);
-        self.conns_open.fetch_add(1, Ordering::Relaxed);
+        self.inc(Metric::ConnsAccepted);
+        self.inc(Metric::ConnsOpen);
     }
 
     /// A TCP connection closed; `dropped` means the peer vanished with
     /// jobs still in flight (as opposed to a clean quit/EOF).
     pub fn on_conn_close(&self, dropped: bool) {
-        self.conns_open.fetch_sub(1, Ordering::Relaxed);
+        self.sub(Metric::ConnsOpen, 1);
         if dropped {
-            self.conns_dropped.fetch_add(1, Ordering::Relaxed);
+            self.inc(Metric::ConnsDropped);
         }
     }
 
-    /// An inbound frame exceeded the per-frame size cap and was rejected.
-    pub fn on_frame_oversize(&self) {
-        self.frames_oversize.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An inbound frame was not valid UTF-8 / parseable JSON.
-    pub fn on_frame_malformed(&self) {
-        self.frames_malformed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker thread came up.
-    pub fn on_worker_start(&self) {
-        self.workers_alive.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker thread exited (normally or by panic).
-    pub fn on_worker_exit(&self) {
-        self.workers_alive.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Current live-worker gauge.
-    pub fn workers_alive(&self) -> u64 {
-        self.workers_alive.load(Ordering::Relaxed)
-    }
-
-    /// Current queue-depth gauge.
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// Consistent-enough point-in-time copy of every counter.
+    /// Consistent-enough point-in-time copy of every cell.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let misses = self.cache_misses.load(Ordering::Relaxed);
-        let completed = self.jobs_completed.load(Ordering::Relaxed);
-        let total_wall_ms = self.total_wall_ms.load(Ordering::Relaxed);
+        let values: [u64; CELLS] = std::array::from_fn(|i| self.cells[i].load(Ordering::Relaxed));
+        let ratio = |num: Metric, den: u64| if den > 0 { values[num as usize] as f64 / den as f64 } else { 0.0 };
+        let lookups = values[Metric::CacheHits as usize] + values[Metric::CacheMisses as usize];
         MetricsSnapshot {
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            jobs_completed: completed,
-            jobs_solved: self.jobs_solved.load(Ordering::Relaxed),
-            jobs_timed_out: self.jobs_timed_out.load(Ordering::Relaxed),
-            jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
-            jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
-            jobs_errored: self.jobs_errored.load(Ordering::Relaxed),
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_hit_rate: if hits + misses > 0 { hits as f64 / (hits + misses) as f64 } else { 0.0 },
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            ground_cache_hits: self.ground_cache_hits.load(Ordering::Relaxed),
-            ground_cache_misses: self.ground_cache_misses.load(Ordering::Relaxed),
-            journal_appends: self.journal_appends.load(Ordering::Relaxed),
-            journal_replayed: self.journal_replayed.load(Ordering::Relaxed),
-            journal_truncated_bytes: self.journal_truncated_bytes.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            total_wall_ms,
-            max_wall_ms: self.max_wall_ms.load(Ordering::Relaxed),
-            mean_wall_ms: if completed > 0 { total_wall_ms as f64 / completed as f64 } else { 0.0 },
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            jobs_retried: self.jobs_retried.load(Ordering::Relaxed),
-            workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
-            jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
-            replans_failed: self.replans_failed.load(Ordering::Relaxed),
-            workers_alive: self.workers_alive.load(Ordering::Relaxed),
-            coalesced_jobs: self.coalesced_jobs.load(Ordering::Relaxed),
-            conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
-            conns_open: self.conns_open.load(Ordering::Relaxed),
-            conns_dropped: self.conns_dropped.load(Ordering::Relaxed),
-            conns_reaped: self.conns_reaped.load(Ordering::Relaxed),
-            frames_oversize: self.frames_oversize.load(Ordering::Relaxed),
-            frames_malformed: self.frames_malformed.load(Ordering::Relaxed),
-            jobs_rejected_deadline: self.jobs_rejected_deadline.load(Ordering::Relaxed),
-            jobs_expired_in_queue: self.jobs_expired_in_queue.load(Ordering::Relaxed),
-            jobs_degraded: self.jobs_degraded.load(Ordering::Relaxed),
-            codel_drops: self.codel_drops.load(Ordering::Relaxed),
-            retries_joined: self.retries_joined.load(Ordering::Relaxed),
-            retries_conflict: self.retries_conflict.load(Ordering::Relaxed),
-            accepts_retried: self.accepts_retried.load(Ordering::Relaxed),
+            cache_hit_rate: ratio(Metric::CacheHits, lookups),
+            mean_wall_ms: ratio(Metric::TotalWallMs, values[Metric::JobsCompleted as usize]),
             queue_wait_ewma_ms: self.queue_wait_ewma_ms(),
             exec_ewma_ms: self.exec_ewma_ms(),
             wall_ms_hist: HistogramSummary::of(&self.wall_ms_hist.lock()),
             queue_wait_ms_hist: HistogramSummary::of(&self.queue_wait_ms_hist.lock()),
+            values,
         }
     }
 }
@@ -381,7 +253,7 @@ fn ewma_update(cell: &AtomicU64, sample_us: u64) {
 }
 
 /// One non-empty log2 bucket of a [`HistogramSummary`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct BucketCount {
     /// Inclusive upper bound of the bucket.
     pub upper: u64,
@@ -391,7 +263,7 @@ pub struct BucketCount {
 
 /// Serializable roll-up of a [`Histogram`]. Percentiles are bucket upper
 /// bounds, so every field is an exact integer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HistogramSummary {
     /// Samples recorded.
     pub count: u64,
@@ -421,97 +293,22 @@ impl HistogramSummary {
     }
 }
 
-/// Serializable point-in-time view of [`Metrics`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Point-in-time view of [`Metrics`]: every table cell (read it as
+/// `snapshot[Metric::CacheHits]`) plus the figures derived from them.
+/// Serializes as one flat JSON object keyed by the table's wire names,
+/// then the derived fields.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Jobs accepted onto the queue.
-    pub jobs_submitted: u64,
-    /// Jobs that produced a response (including timeouts/cancellations).
-    pub jobs_completed: u64,
-    /// Completed jobs whose plan reached the goal.
-    pub jobs_solved: u64,
-    /// Jobs stopped by their deadline.
-    pub jobs_timed_out: u64,
-    /// Jobs stopped by cancellation.
-    pub jobs_cancelled: u64,
-    /// Submissions rejected before queueing.
-    pub jobs_rejected: u64,
-    /// Jobs whose problem failed to build.
-    pub jobs_errored: u64,
-    /// Jobs answered from the plan cache.
-    pub cache_hits: u64,
-    /// Jobs that ran the GA.
-    pub cache_misses: u64,
+    /// Cell values in [`TABLE`] order.
+    pub values: [u64; CELLS],
     /// `cache_hits / (cache_hits + cache_misses)`, 0 when no lookups yet.
     pub cache_hit_rate: f64,
-    /// Plan-cache entries evicted (LRU) to make room for new plans.
-    pub cache_evictions: u64,
-    /// `Dsl` jobs that reused an already-grounded domain.
-    pub ground_cache_hits: u64,
-    /// `Dsl` jobs that parsed, checked and grounded from scratch.
-    pub ground_cache_misses: u64,
-    /// Records appended to the job journal (submits + terminal replies).
-    pub journal_appends: u64,
-    /// Intact journal records decoded during startup replay.
-    pub journal_replayed: u64,
-    /// Bytes of corrupt journal tail truncated during recovery.
-    pub journal_truncated_bytes: u64,
-    /// Jobs currently queued (submitted, not yet dequeued by a worker).
-    pub queue_depth: u64,
-    /// Sum of per-job wall times, milliseconds.
-    pub total_wall_ms: u64,
-    /// Largest single-job wall time, milliseconds.
-    pub max_wall_ms: u64,
     /// `total_wall_ms / jobs_completed`, 0 before the first completion.
     pub mean_wall_ms: f64,
-    /// Faults deliberately injected by chaos jobs.
-    pub faults_injected: u64,
-    /// Job panics a worker caught (or died to).
-    pub panics_caught: u64,
-    /// Panicked jobs re-attempted under the retry policy.
-    pub jobs_retried: u64,
-    /// Dead worker threads the supervisor replaced.
-    pub workers_respawned: u64,
-    /// Submissions shed after the admission timeout.
-    pub jobs_shed: u64,
-    /// Service-backed replans that got no answer (dead/rejecting service).
-    pub replans_failed: u64,
-    /// Worker threads currently alive (gauge).
-    pub workers_alive: u64,
-    /// Jobs that joined an identical in-flight computation (singleflight).
-    pub coalesced_jobs: u64,
-    /// TCP connections accepted since startup.
-    pub conns_accepted: u64,
-    /// TCP connections currently open (gauge).
-    pub conns_open: u64,
-    /// TCP connections that vanished with jobs still in flight.
-    pub conns_dropped: u64,
-    /// Idle/stalled connections reaped by the per-connection read timeout.
-    pub conns_reaped: u64,
-    /// Inbound frames rejected for exceeding the per-frame size cap.
-    pub frames_oversize: u64,
-    /// Inbound frames rejected as malformed (bad UTF-8 / unparseable).
-    pub frames_malformed: u64,
-    /// Submissions rejected at admission as deadline-unmeetable (subset of
-    /// `jobs_rejected`).
-    pub jobs_rejected_deadline: u64,
-    /// Jobs fast-failed at dequeue because their deadline had passed.
-    pub jobs_expired_in_queue: u64,
-    /// Jobs run with a brownout-scaled (degraded) GA budget.
-    pub jobs_degraded: u64,
-    /// Jobs shed from the queue head by the CoDel controller.
-    pub codel_drops: u64,
-    /// In-flight request-id resubmissions with an identical payload folded
-    /// into the existing computation (idempotent client retries).
-    pub retries_joined: u64,
-    /// In-flight request-id resubmissions rejected because the payload
-    /// differed (subset of `jobs_rejected`).
-    pub retries_conflict: u64,
-    /// Transient accept-loop errors retried with backoff.
-    pub accepts_retried: u64,
-    /// Queue-wait EWMA at snapshot time, milliseconds (gauge).
+    /// Queue-wait EWMA at snapshot time, milliseconds (the overload
+    /// controllers' pressure signal).
     pub queue_wait_ewma_ms: u64,
-    /// Execution-time EWMA at snapshot time, milliseconds (gauge).
+    /// Execution-time EWMA at snapshot time, milliseconds.
     pub exec_ewma_ms: u64,
     /// Distribution of per-job wall times, milliseconds.
     pub wall_ms_hist: HistogramSummary,
@@ -519,9 +316,41 @@ pub struct MetricsSnapshot {
     pub queue_wait_ms_hist: HistogramSummary,
 }
 
+impl Index<Metric> for MetricsSnapshot {
+    type Output = u64;
+
+    fn index(&self, m: Metric) -> &u64 {
+        &self.values[m as usize]
+    }
+}
+
+impl Serialize for MetricsSnapshot {
+    fn serialize_json(&self, out: &mut String) {
+        let mut sep = '{';
+        let mut field = |name: &str, value: &dyn Serialize| {
+            out.push(sep);
+            sep = ',';
+            write_json_string(out, name);
+            out.push(':');
+            value.serialize_json(out);
+        };
+        for (def, value) in TABLE.iter().zip(&self.values) {
+            field(def.name, value);
+        }
+        field("cache_hit_rate", &self.cache_hit_rate);
+        field("mean_wall_ms", &self.mean_wall_ms);
+        field("queue_wait_ewma_ms", &self.queue_wait_ewma_ms);
+        field("exec_ewma_ms", &self.exec_ewma_ms);
+        field("wall_ms_hist", &self.wall_ms_hist);
+        field("queue_wait_ms_hist", &self.queue_wait_ms_hist);
+        out.push('}');
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::json::{parse, Value};
 
     #[test]
     fn counters_roll_up_into_snapshot() {
@@ -529,76 +358,47 @@ mod tests {
         m.on_submit();
         m.on_submit();
         m.on_dequeue(3);
-        m.on_cache_miss();
+        m.inc(Metric::CacheMisses);
         m.on_complete(40, true);
         m.on_dequeue(7);
-        m.on_cache_hit();
+        m.inc(Metric::CacheHits);
         m.on_complete(10, false);
-        m.on_reject();
-        m.on_cache_eviction();
-        m.on_ground_cache_miss();
-        m.on_ground_cache_hit();
-        m.on_ground_cache_hit();
-        m.on_journal_append();
-        m.on_journal_append();
-        m.on_journal_replayed(5);
-        m.on_journal_truncated(17);
-        m.on_coalesced();
+        m.inc(Metric::JobsRejected);
+        m.add(Metric::JournalReplayed, 5);
         m.on_conn_accept();
         m.on_conn_accept();
         m.on_conn_close(true);
-        m.on_frame_oversize();
-        m.on_frame_malformed();
         m.on_rejected_deadline();
-        m.on_expired_in_queue();
-        m.on_degraded();
-        m.on_codel_drop();
-        m.on_conn_reaped();
-        m.on_retry_joined();
         m.on_retry_conflict();
-        m.on_accept_retried();
         m.on_exec(20);
         let s = m.snapshot();
-        assert_eq!(s.jobs_submitted, 2);
-        assert_eq!(s.jobs_completed, 2);
-        assert_eq!(s.jobs_solved, 1);
-        // on_reject + on_rejected_deadline + on_retry_conflict (the latter
-        // two also count as rejects).
-        assert_eq!(s.jobs_rejected, 3);
-        assert_eq!(s.jobs_rejected_deadline, 1);
-        assert_eq!(s.jobs_expired_in_queue, 1);
-        assert_eq!(s.jobs_degraded, 1);
-        assert_eq!(s.codel_drops, 1);
-        assert_eq!(s.conns_reaped, 1);
-        assert_eq!(s.retries_joined, 1);
-        assert_eq!(s.retries_conflict, 1);
-        assert_eq!(s.accepts_retried, 1);
+        assert_eq!(s[Metric::JobsSubmitted], 2);
+        assert_eq!(s[Metric::JobsCompleted], 2);
+        assert_eq!(s[Metric::JobsSolved], 1);
+        // inc(JobsRejected) + on_rejected_deadline + on_retry_conflict (the
+        // latter two also count as rejects).
+        assert_eq!(s[Metric::JobsRejected], 3);
+        assert_eq!(s[Metric::JobsRejectedDeadline], 1);
+        assert_eq!(s[Metric::RetriesConflict], 1);
+        assert_eq!(s[Metric::JournalReplayed], 5);
         // EWMA (α = 1/4): waits 3 then 7 → 3 then (3·3+7)/4 = 4 ms.
         assert_eq!(s.queue_wait_ewma_ms, 4);
         assert_eq!(s.exec_ewma_ms, 20);
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.cache_misses, 1);
+        assert_eq!(s[Metric::CacheHits], 1);
+        assert_eq!(s[Metric::CacheMisses], 1);
         assert!((s.cache_hit_rate - 0.5).abs() < 1e-12);
-        assert_eq!(s.cache_evictions, 1);
-        assert_eq!(s.ground_cache_hits, 2);
-        assert_eq!(s.ground_cache_misses, 1);
-        assert_eq!(s.journal_appends, 2);
-        assert_eq!(s.journal_replayed, 5);
-        assert_eq!(s.journal_truncated_bytes, 17);
-        assert_eq!(s.queue_depth, 0);
-        assert_eq!(s.coalesced_jobs, 1);
-        assert_eq!(s.conns_accepted, 2);
-        assert_eq!(s.conns_open, 1);
-        assert_eq!(s.conns_dropped, 1);
-        assert_eq!(s.frames_oversize, 1);
-        assert_eq!(s.frames_malformed, 1);
-        assert_eq!(s.total_wall_ms, 50);
-        assert_eq!(s.max_wall_ms, 40);
+        assert_eq!(s[Metric::QueueDepth], 0);
+        assert_eq!(s[Metric::ConnsAccepted], 2);
+        assert_eq!(s[Metric::ConnsOpen], 1);
+        assert_eq!(s[Metric::ConnsDropped], 1);
+        assert_eq!(s[Metric::TotalWallMs], 50);
+        assert_eq!(s[Metric::MaxWallMs], 40);
         assert!((s.mean_wall_ms - 25.0).abs() < 1e-12);
         // Histograms roll up alongside the counters: wall times 40 and 10
         // land in buckets [32,63] and [8,15]; waits 3 and 7 in [2,3], [4,7].
         assert_eq!(s.wall_ms_hist.count, 2);
         assert_eq!(s.wall_ms_hist.sum, 50);
+        assert_eq!(s.wall_ms_hist.p50, 15);
         assert_eq!(s.wall_ms_hist.p99, 63);
         assert_eq!(
             s.wall_ms_hist.buckets,
@@ -606,15 +406,87 @@ mod tests {
         );
         assert_eq!(s.queue_wait_ms_hist.count, 2);
         assert_eq!(s.queue_wait_ms_hist.sum, 10);
-        assert_eq!(m.wall_ms_quantile(0.5), 15);
-        assert_eq!(m.queue_wait_ms_quantile(0.99), 7);
+        assert_eq!(s.queue_wait_ms_hist.p99, 7);
     }
 
+    /// Clients (and the benchmark's traffic checks) read these keys by
+    /// name and treat an absent key as 0, so a renamed cell would pass
+    /// silently. Pin the wire key set and the integer encoding.
     #[test]
-    fn snapshot_serializes() {
-        let s = Metrics::new().snapshot();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
+    fn snapshot_wire_keys_are_pinned() {
+        const WIRE_KEYS: [&str; 47] = [
+            "jobs_submitted",
+            "jobs_completed",
+            "jobs_solved",
+            "jobs_timed_out",
+            "jobs_cancelled",
+            "jobs_rejected",
+            "jobs_errored",
+            "cache_hits",
+            "cache_misses",
+            "cache_hit_rate",
+            "cache_evictions",
+            "ground_cache_hits",
+            "ground_cache_misses",
+            "journal_appends",
+            "journal_replayed",
+            "journal_truncated_bytes",
+            "queue_depth",
+            "total_wall_ms",
+            "max_wall_ms",
+            "mean_wall_ms",
+            "faults_injected",
+            "panics_caught",
+            "jobs_retried",
+            "workers_respawned",
+            "jobs_shed",
+            "replans_failed",
+            "workers_alive",
+            "coalesced_jobs",
+            "conns_accepted",
+            "conns_open",
+            "conns_dropped",
+            "conns_reaped",
+            "frames_oversize",
+            "frames_malformed",
+            "jobs_rejected_deadline",
+            "jobs_expired_in_queue",
+            "jobs_degraded",
+            "codel_drops",
+            "retries_joined",
+            "retries_conflict",
+            "accepts_retried",
+            "queue_wait_ewma_ms",
+            "exec_ewma_ms",
+            "wall_ms_hist",
+            "queue_wait_ms_hist",
+            "workers_configured",
+            "active_jobs",
+        ];
+        let mut names: Vec<&str> = TABLE.iter().map(|d| d.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), CELLS, "table names must be unique");
+
+        // Nonzero values everywhere, so an integer cell can't hide as 0.0.
+        let m = Metrics::new();
+        for (i, _) in TABLE.iter().enumerate() {
+            m.cells[i].store(i as u64 + 1, Ordering::Relaxed);
+        }
+        let json = serde_json::to_string(&m.snapshot()).unwrap();
+        let value = parse(&json).unwrap();
+        let object = value.as_object().expect("snapshot is a JSON object");
+        let mut keys: Vec<&str> = object.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        let mut expected = WIRE_KEYS.to_vec();
+        expected.sort_unstable();
+        assert_eq!(keys, expected);
+
+        for (i, def) in TABLE.iter().enumerate() {
+            assert_eq!(value.get(def.name), Some(&Value::Int(i as i128 + 1)), "{} must be a JSON integer", def.name);
+        }
+        for derived in ["queue_wait_ewma_ms", "exec_ewma_ms"] {
+            assert!(matches!(value.get(derived), Some(Value::Int(_))), "{derived} must be a JSON integer");
+        }
     }
 }

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use gaplan_obs::{self as obs, Event};
 use parking_lot::Mutex;
 
-use crate::metrics::Metrics;
+use crate::metrics::{Metric, Metrics};
 
 /// Tuning for the overload-control layer. The default disables every
 /// control, reproducing the fixed-admission-timeout service exactly.
@@ -134,7 +134,7 @@ impl OverloadControl {
     /// larger of the observed wait EWMA and the backlog estimate
     /// `queue_depth × exec_ewma / workers`.
     pub fn estimated_wait_ms(&self, metrics: &Metrics) -> u64 {
-        let backlog = metrics.queue_depth().saturating_mul(metrics.exec_ewma_ms()) / self.workers as u64;
+        let backlog = metrics.get(Metric::QueueDepth).saturating_mul(metrics.exec_ewma_ms()) / self.workers as u64;
         metrics.queue_wait_ewma_ms().max(backlog)
     }
 

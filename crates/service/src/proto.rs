@@ -12,8 +12,8 @@
 //!
 //! Each output line is one JSON object: a [`PlanResponse`](crate::PlanResponse) for a finished
 //! job, `{"ack":"cancel","id":N,"found":bool}` for a cancel,
-//! `{"metrics":{...}}` for a metrics query, `{"health":{...}}` for a
-//! health probe, or `{"status":"Error","error":"..."}` (with the request
+//! `{"metrics":{...}}` for a metrics query, `{"health":{...}}` (the same
+//! body under its own key) for a health probe, or `{"status":"Error","error":"..."}` (with the request
 //! `id` whenever one was readable) for an unparseable line. Responses are
 //! written as jobs finish — generally out of submission order; match them
 //! up by `id`.
@@ -41,7 +41,8 @@ pub enum Command {
     },
     /// Ask for a metrics snapshot.
     Metrics,
-    /// Ask for a liveness report (workers alive, queue depth).
+    /// Alias of [`Command::Metrics`]: the same snapshot, answered under
+    /// the `health` key.
     Health,
     /// Drain and stop the service, then exit the serve loop.
     Shutdown,
@@ -214,15 +215,17 @@ mod tests {
 
     #[test]
     fn serve_handles_a_session_end_to_end() {
+        // The metrics/health pair runs before any job, so nothing moves a
+        // counter between the two snapshots.
         let input = concat!(
+            r#"{"cmd":"metrics"}"#,
+            "\n",
+            r#"{"cmd":"health"}"#,
+            "\n",
             r#"{"cmd":"plan","id":1,"problem":{"Hanoi":{"disks":3}},"ga":{"population":40,"generations":30,"phases":3}}"#,
             "\n",
             "garbage line\n",
             r#"{"cmd":"frobnicate","id":42}"#,
-            "\n",
-            r#"{"cmd":"metrics"}"#,
-            "\n",
-            r#"{"cmd":"health"}"#,
             "\n",
             r#"{"cmd":"shutdown"}"#,
             "\n",
@@ -250,6 +253,12 @@ mod tests {
         assert!(text.contains(r#""metrics":"#), "metrics line missing: {text}");
         assert!(text.contains(r#""health":"#), "health line missing: {text}");
         assert!(text.contains(r#""workers_alive":"#), "health must report live workers: {text}");
+        let body = |key: &str| {
+            let prefix = format!(r#"{{"{key}":"#);
+            let line = text.lines().find(|l| l.starts_with(&prefix)).unwrap_or_else(|| panic!("no {key} line: {text}"));
+            line[prefix.len()..].to_string()
+        };
+        assert_eq!(body("health"), body("metrics"), "health must answer the metrics body");
         assert!(text.contains(r#""id":1"#), "job response missing: {text}");
         assert!(text.contains(r#""status":"Done""#), "job should finish: {text}");
     }

@@ -14,6 +14,7 @@ use gaplan_core::{OpId, Plan};
 use gaplan_ga::GaConfig;
 use gaplan_grid::GridWorld;
 
+use crate::metrics::Metric;
 use crate::service::PlanService;
 
 /// Synchronous, service-backed replanner for the grid simulator.
@@ -52,7 +53,7 @@ impl<'s> ServiceReplanner<'s> {
         let (reply_tx, reply_rx) = channel();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         if self.service.submit_grid(id, snapshot.clone(), self.cfg.clone(), self.deadline, reply_tx).is_err() {
-            self.service.metrics_ref().on_replan_failed();
+            self.service.metrics_ref().inc(Metric::ReplansFailed);
             return Plan::default();
         }
         match reply_rx.recv() {
@@ -60,7 +61,7 @@ impl<'s> ServiceReplanner<'s> {
             Err(_) => {
                 // The service dropped the reply sender without answering:
                 // it is gone, not merely out of ideas.
-                self.service.metrics_ref().on_replan_failed();
+                self.service.metrics_ref().inc(Metric::ReplansFailed);
                 Plan::default()
             }
         }
@@ -107,8 +108,8 @@ mod tests {
         // Same snapshot again → answered from the cache.
         let again = replanner.replan(&world);
         assert_eq!(again.ops(), plan.ops());
-        assert_eq!(service.metrics().cache_hits, 1);
-        assert_eq!(service.metrics().replans_failed, 0, "a healthy service is not a failed replan");
+        assert_eq!(service.metrics()[Metric::CacheHits], 1);
+        assert_eq!(service.metrics()[Metric::ReplansFailed], 0, "a healthy service is not a failed replan");
         service.shutdown();
     }
 
@@ -145,7 +146,7 @@ mod tests {
         let plan = replanner.replan(&world);
         assert!(plan.is_empty(), "refused replan degrades to an empty plan");
         assert_eq!(
-            service.metrics().replans_failed,
+            service.metrics()[Metric::ReplansFailed],
             1,
             "service loss must be distinguishable: {:?}",
             service.metrics()

@@ -15,7 +15,7 @@
 //! retries) instead of a dead worker. If a panic does escape — e.g. a
 //! worker-killing chaos job — a reply guard still answers the client while
 //! the thread dies, and a supervisor thread respawns the worker. Every
-//! fault is counted in [`Metrics`] and visible via [`PlanService::health`].
+//! fault is counted in [`Metrics`] and visible via [`PlanService::metrics`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,8 +23,6 @@ use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use serde::{Deserialize, Serialize};
 
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
@@ -35,7 +33,7 @@ use gaplan_grid::GridWorld;
 use gaplan_obs::{self as obs, Event};
 
 use crate::cache::{CachedPlan, PlanCache};
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Metric, Metrics, MetricsSnapshot};
 use crate::overload::{OverloadConfig, OverloadControl};
 use crate::request::{GaOverrides, JobStatus, PlanRequest, PlanResponse, ProblemSpec};
 
@@ -168,73 +166,6 @@ impl From<ServiceError> for std::io::Error {
     }
 }
 
-/// Point-in-time liveness report (the `{"cmd":"health"}` answer).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HealthReport {
-    /// Worker threads currently alive.
-    pub workers_alive: u64,
-    /// Worker threads the service was configured with.
-    pub workers_configured: usize,
-    /// Jobs queued but not yet dequeued by a worker.
-    pub queue_depth: u64,
-    /// Jobs queued or running (cancellable ids).
-    pub active_jobs: usize,
-    /// Dead workers replaced by the supervisor so far.
-    pub workers_respawned: u64,
-    /// Median per-job wall time so far (log2-bucket upper bound, ms).
-    pub wall_ms_p50: u64,
-    /// 99th-percentile per-job wall time so far (bucket upper bound, ms).
-    pub wall_ms_p99: u64,
-    /// 99th-percentile queue wait so far (bucket upper bound, ms).
-    pub queue_wait_ms_p99: u64,
-    /// Jobs answered from the plan cache.
-    pub cache_hits: u64,
-    /// Jobs that ran the GA.
-    pub cache_misses: u64,
-    /// Plan-cache entries evicted (LRU) to make room.
-    pub cache_evictions: u64,
-    /// `Dsl` jobs that reused an already-grounded domain.
-    pub ground_cache_hits: u64,
-    /// `Dsl` jobs that parsed, checked and grounded from scratch.
-    pub ground_cache_misses: u64,
-    /// Records appended to the job journal (0 when serving unjournaled).
-    pub journal_appends: u64,
-    /// Intact journal records decoded during startup replay.
-    pub journal_replayed: u64,
-    /// Bytes of corrupt journal tail truncated during recovery.
-    pub journal_truncated_bytes: u64,
-    /// Jobs that joined an identical in-flight computation (singleflight).
-    pub coalesced_jobs: u64,
-    /// TCP connections accepted since startup (0 when serving over stdin).
-    pub conns_accepted: u64,
-    /// TCP connections currently open.
-    pub conns_open: u64,
-    /// TCP connections that vanished with jobs still in flight.
-    pub conns_dropped: u64,
-    /// Inbound frames rejected for exceeding the per-frame size cap.
-    pub frames_oversize: u64,
-    /// Inbound frames rejected as malformed (bad UTF-8 / unparseable).
-    pub frames_malformed: u64,
-    /// Idle/stalled connections reaped by the per-connection read timeout.
-    pub conns_reaped: u64,
-    /// Submissions rejected at admission as deadline-unmeetable.
-    pub jobs_rejected_deadline: u64,
-    /// Jobs fast-failed at dequeue because their deadline had passed.
-    pub jobs_expired_in_queue: u64,
-    /// Jobs run with a brownout-scaled (degraded) GA budget.
-    pub jobs_degraded: u64,
-    /// Jobs shed from the queue head by the CoDel controller.
-    pub codel_drops: u64,
-    /// In-flight request-id resubmissions folded into the existing
-    /// computation (idempotent client retries).
-    pub retries_joined: u64,
-    /// In-flight request-id resubmissions rejected for a differing payload.
-    pub retries_conflict: u64,
-    /// Queue-wait EWMA, milliseconds (the overload controllers' pressure
-    /// signal).
-    pub queue_wait_ewma_ms: u64,
-}
-
 /// What a worker plans: a wire-level spec, or an in-process grid world with
 /// a fully resolved config (the replanning path).
 enum JobProblem {
@@ -317,7 +248,6 @@ pub struct PlanService {
     tx: Option<SyncSender<Job>>,
     supervisor: Option<JoinHandle<()>>,
     shared: Arc<Shared>,
-    workers_configured: usize,
     admission_timeout: Duration,
     /// Default reply channel: responses for [`PlanService::submit`] jobs.
     responses: Sender<PlanResponse>,
@@ -341,6 +271,7 @@ impl PlanService {
             obs: cfg.obs.clone(),
             overload: OverloadControl::new(cfg.overload.clone(), workers),
         });
+        shared.metrics.add(Metric::WorkersConfigured, workers as u64);
         let rx = Arc::new(Mutex::new(rx));
         let handles = (0..workers)
             .map(|i| spawn_worker(i, &rx, &shared))
@@ -358,7 +289,6 @@ impl PlanService {
             tx: Some(tx),
             supervisor: Some(supervisor),
             shared,
-            workers_configured: workers,
             admission_timeout: cfg.admission_timeout,
             responses,
         };
@@ -430,7 +360,7 @@ impl PlanService {
         {
             let mut active = self.shared.active.lock();
             if active.contains_key(&job.id) {
-                self.shared.metrics.on_reject();
+                self.shared.metrics.inc(Metric::JobsRejected);
                 return Err(SubmitError::DuplicateId);
             }
             active.insert(job.id, token.clone());
@@ -446,13 +376,13 @@ impl PlanService {
                 }
                 Err(TrySendError::Disconnected(_)) => {
                     self.shared.active.lock().remove(&id);
-                    self.shared.metrics.on_reject();
+                    self.shared.metrics.inc(Metric::JobsRejected);
                     return Err(SubmitError::ShutDown);
                 }
                 Err(TrySendError::Full(returned)) => {
                     if self.admission_timeout.is_zero() {
                         self.shared.active.lock().remove(&id);
-                        self.shared.metrics.on_reject();
+                        self.shared.metrics.inc(Metric::JobsRejected);
                         return Err(SubmitError::QueueFull);
                     }
                     if Instant::now() >= deadline {
@@ -460,7 +390,7 @@ impl PlanService {
                         // admission window, so turn the job away rather than
                         // letting latency grow without bound.
                         self.shared.active.lock().remove(&id);
-                        self.shared.metrics.on_shed();
+                        self.shared.metrics.inc(Metric::JobsShed);
                         return Err(SubmitError::Shed);
                     }
                     job = returned;
@@ -483,48 +413,12 @@ impl PlanService {
         }
     }
 
-    /// Point-in-time metrics.
+    /// Point-in-time metrics, including the live-job gauge (the answer to
+    /// both the `metrics` and the `health` wire command).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
-    }
-
-    /// Point-in-time liveness report: workers alive vs configured, queue
-    /// depth, in-flight job count, respawn count, plus the durability
-    /// counters (cache hit/miss/eviction, journal append/replay/truncation).
-    pub fn health(&self) -> HealthReport {
-        let snapshot = self.shared.metrics.snapshot();
-        HealthReport {
-            workers_alive: self.shared.metrics.workers_alive(),
-            workers_configured: self.workers_configured,
-            queue_depth: self.shared.metrics.queue_depth(),
-            active_jobs: self.shared.active.lock().len(),
-            workers_respawned: snapshot.workers_respawned,
-            wall_ms_p50: self.shared.metrics.wall_ms_quantile(0.5),
-            wall_ms_p99: self.shared.metrics.wall_ms_quantile(0.99),
-            queue_wait_ms_p99: self.shared.metrics.queue_wait_ms_quantile(0.99),
-            cache_hits: snapshot.cache_hits,
-            cache_misses: snapshot.cache_misses,
-            cache_evictions: snapshot.cache_evictions,
-            ground_cache_hits: snapshot.ground_cache_hits,
-            ground_cache_misses: snapshot.ground_cache_misses,
-            journal_appends: snapshot.journal_appends,
-            journal_replayed: snapshot.journal_replayed,
-            journal_truncated_bytes: snapshot.journal_truncated_bytes,
-            coalesced_jobs: snapshot.coalesced_jobs,
-            conns_accepted: snapshot.conns_accepted,
-            conns_open: snapshot.conns_open,
-            conns_dropped: snapshot.conns_dropped,
-            frames_oversize: snapshot.frames_oversize,
-            frames_malformed: snapshot.frames_malformed,
-            conns_reaped: snapshot.conns_reaped,
-            jobs_rejected_deadline: snapshot.jobs_rejected_deadline,
-            jobs_expired_in_queue: snapshot.jobs_expired_in_queue,
-            jobs_degraded: snapshot.jobs_degraded,
-            codel_drops: snapshot.codel_drops,
-            retries_joined: snapshot.retries_joined,
-            retries_conflict: snapshot.retries_conflict,
-            queue_wait_ewma_ms: snapshot.queue_wait_ewma_ms,
-        }
+        let mut snapshot = self.shared.metrics.snapshot();
+        snapshot.values[Metric::ActiveJobs as usize] = self.shared.active.lock().len() as u64;
+        snapshot
     }
 
     /// Shared metrics hook for in-crate adapters (e.g. the service-backed
@@ -543,7 +437,7 @@ impl PlanService {
     /// computed before a crash keep answering identical resubmissions.
     pub fn seed_cache(&self, key: u64, value: CachedPlan) {
         if self.shared.cache.lock().insert(key, value) {
-            self.shared.metrics.on_cache_eviction();
+            self.shared.metrics.inc(Metric::CacheEvictions);
         }
     }
 
@@ -587,7 +481,7 @@ fn spawn_worker(index: usize, rx: &Arc<Mutex<Receiver<Job>>>, shared: &Arc<Share
     let rx = Arc::clone(rx);
     let shared = Arc::clone(shared);
     // Count the worker from spawn time, not from when the OS first
-    // schedules the thread, so an immediate health() sees the full pool.
+    // schedules the thread, so an immediate metrics snapshot sees the full pool.
     // A failed spawn drops the guard and the gauge rolls back.
     let alive = AliveGuard::new(Arc::clone(&shared));
     std::thread::Builder::new().name(format!("gaplan-worker-{index}")).spawn(move || {
@@ -603,14 +497,14 @@ struct AliveGuard(Arc<Shared>);
 
 impl AliveGuard {
     fn new(shared: Arc<Shared>) -> Self {
-        shared.metrics.on_worker_start();
+        shared.metrics.inc(Metric::WorkersAlive);
         AliveGuard(shared)
     }
 }
 
 impl Drop for AliveGuard {
     fn drop(&mut self) {
-        self.0.metrics.on_worker_exit();
+        self.0.metrics.sub(Metric::WorkersAlive, 1);
     }
 }
 
@@ -627,7 +521,7 @@ struct ReplyGuard<'s> {
 impl Drop for ReplyGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.shared.metrics.on_panic();
+            self.shared.metrics.inc(Metric::PanicsCaught);
             self.shared.active.lock().remove(&self.id);
             let mut resp = PlanResponse::failure(
                 self.id,
@@ -664,7 +558,7 @@ fn supervisor_loop(mut handles: Vec<JoinHandle<()>>, rx: &Arc<Mutex<Receiver<Job
                 next_index += 1;
                 let dead = std::mem::replace(slot, fresh);
                 let _ = dead.join();
-                shared.metrics.on_respawn();
+                shared.metrics.inc(Metric::WorkersRespawned);
             }
         }
     }
@@ -675,7 +569,7 @@ fn supervisor_loop(mut handles: Vec<JoinHandle<()>>, rx: &Arc<Mutex<Receiver<Job
         if handle.join().is_err() {
             if let Ok(drainer) = spawn_worker(next_index, rx, shared) {
                 next_index += 1;
-                shared.metrics.on_respawn();
+                shared.metrics.inc(Metric::WorkersRespawned);
                 let _ = drainer.join();
             }
         }
@@ -697,7 +591,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
         obs::emit(|| Event::new("svc.dequeue").u64("id", job.id).u64("queue_wait_wall_ms", queue_wait_ms));
         let _guard = ReplyGuard { id: job.id, submitted_at: job.submitted_at, reply: job.reply.clone(), shared };
         if let JobProblem::Spec(ProblemSpec::Chaos { kill_worker: true, .. }) = &job.problem {
-            shared.metrics.on_fault_injected();
+            shared.metrics.inc(Metric::FaultsInjected);
             panic!("chaos job {} killed this worker on request", job.id);
         }
         // Feed every sojourn to the CoDel controller, whether or not the
@@ -709,7 +603,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
             // Fast-fail: the deadline passed while the job sat queued, so
             // a GA run could only produce a dead answer. Reply immediately
             // and give the worker to a job that can still make it.
-            shared.metrics.on_expired_in_queue();
+            shared.metrics.inc(Metric::JobsExpiredInQueue);
             response =
                 PlanResponse::failure(job.id, JobStatus::DeadlineExpired, "deadline expired while queued; job not run");
             response.wall_ms = job.wall_ms();
@@ -718,8 +612,8 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
             // Controlled-delay head shedding: sojourn has been above target
             // for a full interval, so drop from the head (oldest first) to
             // pull the standing queue back under target.
-            shared.metrics.on_codel_drop();
-            shared.metrics.on_shed();
+            shared.metrics.inc(Metric::CodelDrops);
+            shared.metrics.inc(Metric::JobsShed);
             obs::emit(|| Event::new("svc.codel").u64("id", job.id).u64("sojourn_ms", queue_wait_ms));
             response = PlanResponse::failure(
                 job.id,
@@ -736,12 +630,12 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
                         break;
                     }
                     Err(payload) => {
-                        shared.metrics.on_panic();
+                        shared.metrics.inc(Metric::PanicsCaught);
                         if attempt < shared.max_job_retries {
-                            shared.metrics.on_retry();
+                            shared.metrics.inc(Metric::JobsRetried);
                             continue;
                         }
-                        shared.metrics.on_error();
+                        shared.metrics.inc(Metric::JobsErrored);
                         response = PlanResponse::failure(
                             job.id,
                             JobStatus::Error,
@@ -799,7 +693,7 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
                 (built, cfg)
             }
             Err(msg) => {
-                shared.metrics.on_error();
+                shared.metrics.inc(Metric::JobsErrored);
                 let mut resp = PlanResponse::failure(job.id, JobStatus::Error, msg);
                 resp.wall_ms = job.wall_ms();
                 return resp;
@@ -813,7 +707,7 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
         // trivially. Handled before the cache so a cached success can never
         // swallow a scheduled fault.
         if attempt < *fail_attempts {
-            shared.metrics.on_fault_injected();
+            shared.metrics.inc(Metric::FaultsInjected);
             panic!("chaos job {}: injected panic on attempt {attempt}", job.id);
         }
         let wall_ms = job.wall_ms();
@@ -838,7 +732,7 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
     let cached = shared.cache.lock().get(key);
     obs::emit(|| Event::new("svc.cache").u64("id", job.id).bool("hit", cached.is_some()));
     if let Some(hit) = cached {
-        shared.metrics.on_cache_hit();
+        shared.metrics.inc(Metric::CacheHits);
         let wall_ms = job.wall_ms();
         shared.metrics.on_complete(wall_ms, hit.solved);
         return PlanResponse {
@@ -856,7 +750,7 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
             degraded: false,
         };
     }
-    shared.metrics.on_cache_miss();
+    shared.metrics.inc(Metric::CacheMisses);
 
     // Anytime brownout: under queue pressure, run a scaled-down GA budget
     // and mark the response degraded. Cache lookups above still use the
@@ -866,7 +760,7 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
     let factor = shared.overload.brownout_factor(&shared.metrics);
     let degraded = factor < 1.0;
     let run_cfg = if degraded {
-        shared.metrics.on_degraded();
+        shared.metrics.inc(Metric::JobsDegraded);
         cfg.scale_budget(factor)
     } else {
         cfg
@@ -882,11 +776,11 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
     let status = match outcome.stopped {
         None => JobStatus::Done,
         Some(StopCause::Deadline) => {
-            shared.metrics.on_timeout();
+            shared.metrics.inc(Metric::JobsTimedOut);
             JobStatus::Timeout
         }
         Some(StopCause::Cancelled) => {
-            shared.metrics.on_cancel();
+            shared.metrics.inc(Metric::JobsCancelled);
             JobStatus::Cancelled
         }
     };
@@ -902,7 +796,7 @@ fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
             },
         );
         if evicted {
-            shared.metrics.on_cache_eviction();
+            shared.metrics.inc(Metric::CacheEvictions);
         }
     }
     let wall_ms = job.wall_ms();
@@ -970,8 +864,8 @@ mod tests {
         assert!(resp.solved, "hanoi-3 should solve: {resp:?}");
         assert!(!resp.cache_hit);
         let metrics = service.metrics();
-        assert_eq!(metrics.jobs_completed, 1);
-        assert_eq!(metrics.cache_misses, 1);
+        assert_eq!(metrics[Metric::JobsCompleted], 1);
+        assert_eq!(metrics[Metric::CacheMisses], 1);
         service.shutdown();
     }
 
@@ -991,7 +885,7 @@ mod tests {
         let second = responses.recv().unwrap();
         assert!(second.cache_hit, "identical problem+config should hit: {second:?}");
         assert_eq!(second.plan, first.plan);
-        assert_eq!(service.metrics().cache_hits, 1);
+        assert_eq!(service.metrics()[Metric::CacheHits], 1);
         service.shutdown();
     }
 
@@ -1105,10 +999,10 @@ mod tests {
         assert_eq!(resp.id, 2);
         assert_eq!(resp.status, JobStatus::Done);
         let m = service.metrics();
-        assert_eq!(m.panics_caught, 2, "both attempts panicked: {m:?}");
-        assert_eq!(m.jobs_retried, 1);
-        assert_eq!(m.faults_injected, 2);
-        assert_eq!(m.workers_respawned, 0, "caught panics must not kill the worker");
+        assert_eq!(m[Metric::PanicsCaught], 2, "both attempts panicked: {m:?}");
+        assert_eq!(m[Metric::JobsRetried], 1);
+        assert_eq!(m[Metric::FaultsInjected], 2);
+        assert_eq!(m[Metric::WorkersRespawned], 0, "caught panics must not kill the worker");
         service.shutdown();
     }
 
@@ -1128,8 +1022,8 @@ mod tests {
         assert_eq!(resp.status, JobStatus::Done, "{resp:?}");
         assert!(resp.solved);
         let m = service.metrics();
-        assert_eq!(m.panics_caught, 1);
-        assert_eq!(m.jobs_retried, 1);
+        assert_eq!(m[Metric::PanicsCaught], 1);
+        assert_eq!(m[Metric::JobsRetried], 1);
         service.shutdown();
     }
 
@@ -1142,7 +1036,7 @@ mod tests {
             ..ServiceConfig::default()
         })
         .unwrap();
-        assert!(wait_until(2000, || service.health().workers_alive == 1), "worker never came up");
+        assert!(wait_until(2000, || service.metrics()[Metric::WorkersAlive] == 1), "worker never came up");
         service.submit(chaos_request(1, 0, true)).unwrap();
         // the dying worker's reply guard still answers the client
         let resp = responses.recv().unwrap();
@@ -1150,7 +1044,10 @@ mod tests {
         assert_eq!(resp.status, JobStatus::Error);
         // the supervisor replaces the dead thread
         assert!(
-            wait_until(2000, || service.metrics().workers_respawned >= 1 && service.health().workers_alive == 1),
+            wait_until(2000, || {
+                let m = service.metrics();
+                m[Metric::WorkersRespawned] >= 1 && m[Metric::WorkersAlive] == 1
+            }),
             "supervisor never respawned the worker: {:?}",
             service.metrics()
         );
@@ -1160,9 +1057,9 @@ mod tests {
         assert_eq!(resp.id, 2);
         assert_eq!(resp.status, JobStatus::Done);
         let m = service.metrics();
-        assert!(m.panics_caught >= 1, "{m:?}");
-        assert!(m.workers_respawned >= 1, "{m:?}");
-        assert!(m.faults_injected >= 1, "{m:?}");
+        assert!(m[Metric::PanicsCaught] >= 1, "{m:?}");
+        assert!(m[Metric::WorkersRespawned] >= 1, "{m:?}");
+        assert!(m[Metric::FaultsInjected] >= 1, "{m:?}");
         service.shutdown();
     }
 
@@ -1194,7 +1091,7 @@ mod tests {
         }
         assert!(queued_one, "one job should fit in the queue");
         assert_eq!(shed, Some(SubmitError::Shed), "full queue past the timeout must shed");
-        assert!(service.metrics().jobs_shed >= 1);
+        assert!(service.metrics()[Metric::JobsShed] >= 1);
         for id in 1..=6 {
             service.cancel(id);
         }
@@ -1205,14 +1102,15 @@ mod tests {
     #[test]
     fn health_reports_live_workers_and_queue() {
         let (service, _responses) = PlanService::start(ServiceConfig::default()).unwrap();
-        assert!(wait_until(2000, || service.health().workers_alive == 2), "{:?}", service.health());
-        let h = service.health();
-        assert_eq!(h.workers_configured, 2);
-        assert_eq!(h.queue_depth, 0);
-        assert_eq!(h.active_jobs, 0);
-        assert_eq!(h.workers_respawned, 0);
-        assert_eq!(h.jobs_expired_in_queue, 0);
-        assert_eq!(h.codel_drops, 0);
+        assert!(wait_until(2000, || service.metrics()[Metric::WorkersAlive] == 2), "{:?}", service.metrics());
+        let h = service.metrics();
+        assert_eq!(h[Metric::WorkersAlive], 2);
+        assert_eq!(h[Metric::WorkersConfigured], 2);
+        assert_eq!(h[Metric::QueueDepth], 0);
+        assert_eq!(h[Metric::ActiveJobs], 0);
+        assert_eq!(h[Metric::WorkersRespawned], 0);
+        assert_eq!(h[Metric::JobsExpiredInQueue], 0);
+        assert_eq!(h[Metric::CodelDrops], 0);
         service.shutdown();
     }
 
@@ -1256,8 +1154,8 @@ mod tests {
         assert_eq!(status, JobStatus::DeadlineExpired, "{statuses:?}");
         assert_eq!(gens, 0, "the GA must never run for an expired job");
         let m = service.metrics();
-        assert_eq!(m.jobs_expired_in_queue, 1);
-        assert_eq!(m.jobs_completed, 2, "expired jobs still count as completed");
+        assert_eq!(m[Metric::JobsExpiredInQueue], 1);
+        assert_eq!(m[Metric::JobsCompleted], 2, "expired jobs still count as completed");
         service.shutdown();
     }
 
@@ -1281,13 +1179,13 @@ mod tests {
         // nonzero, then ask for a deadline the queue alone already blows.
         service.submit(slow_request(3)).unwrap();
         service.submit(slow_request(4)).unwrap();
-        assert!(wait_until(2000, || service.metrics().queue_depth >= 1), "{:?}", service.metrics());
+        assert!(wait_until(2000, || service.metrics()[Metric::QueueDepth] >= 1), "{:?}", service.metrics());
         let mut hopeless = tiny_request(5);
         hopeless.deadline_ms = Some(1);
         assert_eq!(service.submit(hopeless).err(), Some(SubmitError::WouldMissDeadline));
         let m = service.metrics();
-        assert_eq!(m.jobs_rejected_deadline, 1);
-        assert_eq!(m.jobs_rejected, 1, "deadline rejections count as rejections");
+        assert_eq!(m[Metric::JobsRejectedDeadline], 1);
+        assert_eq!(m[Metric::JobsRejected], 1, "deadline rejections count as rejections");
         // A feasible deadline is still admitted.
         let mut fine = tiny_request(6);
         fine.deadline_ms = Some(60_000);
@@ -1327,9 +1225,9 @@ mod tests {
         }
         assert_eq!(replies, jobs, "every accepted job must be answered");
         let m = service.metrics();
-        assert!(m.codel_drops >= 1, "sustained overload never triggered a head drop: {m:?}");
-        assert_eq!(m.codel_drops, shed as u64);
-        assert_eq!(m.jobs_completed, jobs);
+        assert!(m[Metric::CodelDrops] >= 1, "sustained overload never triggered a head drop: {m:?}");
+        assert_eq!(m[Metric::CodelDrops], shed as u64);
+        assert_eq!(m[Metric::JobsCompleted], jobs);
         service.shutdown();
     }
 
@@ -1362,7 +1260,7 @@ mod tests {
         }
         assert!(degraded >= 1, "queue pressure never engaged the brownout: {:?}", service.metrics());
         let m = service.metrics();
-        assert_eq!(m.jobs_degraded, degraded as u64);
+        assert_eq!(m[Metric::JobsDegraded], degraded as u64);
         // Every id has a distinct seed (distinct cache key); only the
         // full-budget runs may populate the cache.
         assert_eq!(service.cache_len(), jobs as usize - degraded, "degraded plans must never be cached");

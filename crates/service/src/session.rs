@@ -30,7 +30,7 @@ use gaplan_obs::{self as obs, Event};
 
 use crate::coalesce::{error_line, response_line, Dispatch};
 use crate::journal::JobJournal;
-use crate::metrics::Metrics;
+use crate::metrics::{Metric, Metrics};
 use crate::proto::{parse_command, Command};
 use crate::request::{JobStatus, PlanRequest, PlanResponse};
 use crate::service::{ObsHandle, PlanService, ServiceConfig, SubmitError};
@@ -114,8 +114,8 @@ impl SessionHost {
             return Ok(());
         };
         let recovery = journal.recover()?;
-        self.metrics.on_journal_replayed(recovery.records_replayed);
-        self.metrics.on_journal_truncated(recovery.truncated_bytes);
+        self.metrics.add(Metric::JournalReplayed, recovery.records_replayed);
+        self.metrics.add(Metric::JournalTruncatedBytes, recovery.truncated_bytes);
         obs::emit(|| {
             Event::new("durable.replay")
                 .u64("records", recovery.records_replayed)
@@ -159,7 +159,7 @@ impl SessionHost {
                     Err(err) => {
                         let resp = PlanResponse::failure(id, JobStatus::Rejected, err.to_string());
                         if journal.record_done(&resp).is_ok() {
-                            self.metrics.on_journal_append();
+                            self.metrics.inc(Metric::JournalAppends);
                         }
                         if let Some(sink) = sink {
                             let _ = sink.send(response_line(&resp));
@@ -270,16 +270,11 @@ impl<'h> Session<'h> {
                 self.send(format!(r#"{{"ack":"cancel","id":{id},"found":{found}}}"#));
                 LineOutcome::Continue
             }
-            Ok(Command::Metrics) => {
-                let snapshot = self.host.service.metrics();
-                let body = serde_json::to_string(&snapshot).unwrap_or_else(|_| "null".to_string());
-                self.send(format!(r#"{{"metrics":{body}}}"#));
-                LineOutcome::Continue
-            }
-            Ok(Command::Health) => {
-                let report = self.host.service.health();
-                let body = serde_json::to_string(&report).unwrap_or_else(|_| "null".to_string());
-                self.send(format!(r#"{{"health":{body}}}"#));
+            Ok(cmd @ (Command::Metrics | Command::Health)) => {
+                // `health` is an alias: the same body under its own key.
+                let key = if matches!(cmd, Command::Health) { "health" } else { "metrics" };
+                let body = serde_json::to_string(&self.host.service.metrics()).unwrap_or_else(|_| "null".to_string());
+                self.send(format!(r#"{{"{key}":{body}}}"#));
                 LineOutcome::Continue
             }
             Ok(Command::Shutdown) => LineOutcome::Shutdown,
@@ -318,7 +313,7 @@ impl<'h> Session<'h> {
                 // queuing unbounded output.
                 if let Some(limit) = self.backlog_limit {
                     if !self.wait_backlog(limit) {
-                        self.host.metrics.on_shed();
+                        self.host.metrics.inc(Metric::JobsShed);
                         let resp = PlanResponse::failure(
                             request.id,
                             JobStatus::Shed,
@@ -355,7 +350,7 @@ impl<'h> Session<'h> {
                 self.send(response_line(&resp));
                 return;
             }
-            self.host.metrics.on_journal_append();
+            self.host.metrics.inc(Metric::JournalAppends);
         }
         if let Err(err) = self.host.service.submit(*request) {
             let status = match err {
@@ -377,7 +372,7 @@ impl<'h> Session<'h> {
                 // Terminal record for the journaled submit, so a restart
                 // does not resurrect a shed job.
                 if journal.record_done(&resp).is_ok() {
-                    self.host.metrics.on_journal_append();
+                    self.host.metrics.inc(Metric::JournalAppends);
                 }
             }
             self.send(response_line(&resp));

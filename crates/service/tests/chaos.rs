@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gaplan_obs as obs;
-use gaplan_service::{serve, ObsHandle, PlanService, ProblemSpec, ServiceConfig};
+use gaplan_service::{serve, Metric, ObsHandle, PlanService, ProblemSpec, ServiceConfig};
 
 /// A `Write` target the test can inspect after `serve` returns.
 #[derive(Clone, Default)]
@@ -106,9 +106,9 @@ fn chaos_transient_panics_are_retried_to_success_in_process() {
     assert_eq!(resp.id, 7);
     assert!(resp.solved, "one panic, two retries: the job must succeed: {resp:?}");
     let m = service.metrics();
-    assert_eq!(m.panics_caught, 1, "{m:?}");
-    assert_eq!(m.jobs_retried, 1, "{m:?}");
-    assert_eq!(m.workers_respawned, 0, "a caught panic must not cost a worker: {m:?}");
+    assert_eq!(m[Metric::PanicsCaught], 1, "{m:?}");
+    assert_eq!(m[Metric::JobsRetried], 1, "{m:?}");
+    assert_eq!(m[Metric::WorkersRespawned], 0, "a caught panic must not cost a worker: {m:?}");
     service.shutdown();
 }
 

@@ -86,7 +86,7 @@ use ga_grid_planner::net::{
 };
 use ga_grid_planner::obs;
 use ga_grid_planner::service::{
-    serve_with_journal, JobJournal, ObsHandle, OverloadConfig, PlanService, ServiceConfig, ServiceReplanner,
+    serve_with_journal, JobJournal, Metric, ObsHandle, OverloadConfig, PlanService, ServiceConfig, ServiceReplanner,
 };
 use gaplan_core::{Domain, Plan, SigBuilder};
 
@@ -539,9 +539,9 @@ fn grid_cmd(args: &[String]) {
         let m = service.metrics();
         println!(
             "planning service: {} jobs, cache {}/{} hits, mean {:.0}ms/job",
-            m.jobs_completed,
-            m.cache_hits,
-            m.cache_hits + m.cache_misses,
+            m[Metric::JobsCompleted],
+            m[Metric::CacheHits],
+            m[Metric::CacheHits] + m[Metric::CacheMisses],
             m.mean_wall_ms
         );
         service.shutdown();

@@ -9,7 +9,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ga_grid_planner::ga::GaConfig;
-use ga_grid_planner::service::{serve, GaOverrides, JobStatus, PlanRequest, PlanService, ProblemSpec, ServiceConfig};
+use ga_grid_planner::service::{
+    serve, GaOverrides, JobStatus, Metric, PlanRequest, PlanService, ProblemSpec, ServiceConfig,
+};
 use gaplan_core::strips::{StripsBuilder, StripsProblem};
 use proptest::prelude::*;
 
@@ -78,11 +80,11 @@ fn concurrent_jobs_with_mixed_deadlines_all_terminate() {
     }
 
     let metrics = service.metrics();
-    assert_eq!(metrics.jobs_submitted, 10);
-    assert_eq!(metrics.jobs_completed, 10);
-    assert_eq!(metrics.jobs_expired_in_queue, 2);
-    assert_eq!(metrics.jobs_timed_out, 0);
-    assert_eq!(metrics.queue_depth, 0);
+    assert_eq!(metrics[Metric::JobsSubmitted], 10);
+    assert_eq!(metrics[Metric::JobsCompleted], 10);
+    assert_eq!(metrics[Metric::JobsExpiredInQueue], 2);
+    assert_eq!(metrics[Metric::JobsTimedOut], 0);
+    assert_eq!(metrics[Metric::QueueDepth], 0);
     service.shutdown();
 }
 
@@ -114,8 +116,8 @@ fn repeated_request_is_a_cache_hit() {
     assert!(!third.cache_hit, "different config must miss: {third:?}");
 
     let metrics = service.metrics();
-    assert_eq!(metrics.cache_hits, 1);
-    assert_eq!(metrics.cache_misses, 2);
+    assert_eq!(metrics[Metric::CacheHits], 1);
+    assert_eq!(metrics[Metric::CacheMisses], 2);
     assert!((metrics.cache_hit_rate - 1.0 / 3.0).abs() < 1e-9);
     service.shutdown();
 }
