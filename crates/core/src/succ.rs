@@ -16,26 +16,36 @@
 //!   hit/miss/eviction *counters* are racy under parallel evaluation (two
 //!   workers can miss the same state concurrently), which is why observability
 //!   masks them in golden traces.
-//! * **Bounded memory.** The table is a fixed array of slots, direct-mapped
-//!   by signature: a colliding insert replaces the previous occupant
-//!   (counted as an eviction) instead of growing. The replacement is made
-//!   in place — the occupant's op-list buffer is reused — so a thrashing
-//!   table costs no allocation per miss.
+//! * **Bounded memory that follows use.** Each shard behaves as a
+//!   direct-mapped table of `capacity / 16` slots: a state's *home* is
+//!   `(sig >> 4) % slots_per_shard`, and a colliding insert replaces the
+//!   home's previous occupant (counted as an eviction) instead of growing.
+//!   That full-size table is only simulated, though: a shard allocates 64
+//!   slots on its first insert and keeps entries keyed by home under linear
+//!   probing, doubling (and rehashing its live entries) whenever an insert
+//!   would take it past half load, until it reaches the full size, where
+//!   every entry sits at its home. It therefore holds exactly the entries the
+//!   full-size table would, so hits, misses and evictions match it lookup for
+//!   lookup, while a cache that sees k distinct states holds at most about
+//!   4k slots (plus 64 per touched shard). Replacements are made in place —
+//!   the occupant's op-list buffer is reused — so a thrashing table costs no
+//!   allocation per miss.
 //! * **Cheap sharing.** Sixteen shards behind `parking_lot` mutexes keep the
 //!   rayon workers of `EvalMode::Parallel` from serialising on one lock; a
 //!   hit copies the op list into the caller's scratch under the shard lock,
 //!   avoiding per-hit `Arc` traffic.
 //!
 //! The table pays off only where states recur. Per solve on the benchmark's
-//! cold-mix problems, Hanoi-4 hits 0.999 of lookups, the grid pipeline 0.96
-//! and the shipped DSL pairs 0.92, but a shuffled tile-4x4 only 0.42 and
-//! generated DSL problems 0.28 — there most lookups miss, insert and evict,
-//! and the enumeration runs anyway. The GA engine therefore reads
-//! [`SuccessorCache::stats`] after each phase's first generation and, below
-//! a 0.5 hit fraction, evaluates the rest of the phase uncached. Since a
-//! lookup returns exactly what `valid_operations` would, that bypass can
-//! change speed but never a result; racing counters under parallel
-//! evaluation can make the decision itself racy, with the same guarantee.
+//! cold-mix problems, Hanoi-4 hits 0.999 of lookups, the grid pipeline 0.96,
+//! the shipped DSL pairs 0.92 and generated DSL problems 0.71, but a shuffled
+//! tile-4x4 only 0.38 — there most lookups miss, insert and evict (~2.4k
+//! evictions per solve), and the enumeration runs anyway. The GA engine
+//! therefore reads [`SuccessorCache::stats`] after each phase's first
+//! generation and, below a 0.5 hit fraction, evaluates the rest of the phase
+//! uncached. Since a lookup returns exactly what `valid_operations` would,
+//! that bypass can change speed but never a result; racing counters under
+//! parallel evaluation can make the decision itself racy, with the same
+//! guarantee.
 //!
 //! Keys are [`Domain::state_signature`] values. The default signature is a
 //! 64-bit hash, so two distinct states *can* collide; debug builds store the
@@ -58,8 +68,13 @@ const SHARDS: usize = 16;
 
 /// Default total capacity of a [`SuccessorCache`], in entries. Sized so the
 /// benchmark domains (hanoi ≤ 3^20 reachable states but tiny hot sets, tile
-/// and grid much hotter) rarely evict, at tens of MB worst case.
+/// and grid much hotter) rarely evict; a cache that fills it holds about
+/// 2.5 MiB of slots in release builds, one that sees few states far less.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
+
+/// Slots a shard allocates on its first insert, before doubling toward its
+/// full size.
+const MIN_SLOTS: usize = 64;
 
 /// One memoized state: its signature, valid-op list, and the FxHash of that
 /// list (the decoder's `ValidOpSet` match key, precomputed).
@@ -107,10 +122,61 @@ impl CacheStats {
     }
 }
 
-/// Sharded, bounded, direct-mapped transposition table keyed by
-/// [`Domain::state_signature`]. See the module docs for the contract.
+/// One shard: a linear-probing table of at most `slots_per_shard` slots
+/// that holds exactly what a direct-mapped table of that size would.
+struct Shard<S> {
+    /// Empty until the first insert, then [`MIN_SLOTS`] (or the full size,
+    /// if smaller) doubling up to the full size.
+    slots: Vec<Option<Entry<S>>>,
+    /// Occupied slots.
+    live: usize,
+}
+
+impl<S> Shard<S> {
+    /// The slot holding the entry whose home is `home`, or else the empty
+    /// slot where it would go. Below the full size, entries with another
+    /// home are probed past; at the full size every entry sits at its home.
+    fn find(&self, sig: u64, home: usize, full: usize) -> usize {
+        let len = self.slots.len();
+        if len == full {
+            return home;
+        }
+        // Below the full size the length is a power of two (MIN_SLOTS doubled).
+        let mask = len - 1;
+        let mut i = home & mask;
+        while let Some(entry) = &self.slots[i] {
+            if entry.sig == sig || home_of(entry.sig, full) == home {
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Double the table (capped at `full` slots) and re-place every entry.
+    fn grow(&mut self, full: usize) {
+        let len = (self.slots.len() * 2).clamp(MIN_SLOTS.min(full), full);
+        let old = std::mem::replace(&mut self.slots, Vec::with_capacity(len));
+        self.slots.resize_with(len, || None);
+        for entry in old.into_iter().flatten() {
+            let i = self.find(entry.sig, home_of(entry.sig, full), full);
+            debug_assert!(self.slots[i].is_none(), "two live entries share a home");
+            self.slots[i] = Some(entry);
+        }
+    }
+}
+
+/// Slot of `sig` in a direct-mapped shard of `full` slots.
+fn home_of(sig: u64, full: usize) -> usize {
+    ((sig >> 4) as usize) % full
+}
+
+/// Sharded, bounded transposition table keyed by
+/// [`Domain::state_signature`], behaving as a direct-mapped table of
+/// [`capacity`](Self::capacity) slots whose memory grows with use. See the
+/// module docs for the contract.
 pub struct SuccessorCache<S> {
-    shards: Vec<Mutex<Vec<Option<Entry<S>>>>>,
+    shards: Vec<Mutex<Shard<S>>>,
     slots_per_shard: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -119,12 +185,12 @@ pub struct SuccessorCache<S> {
 
 impl<S: Clone + PartialEq + Eq + Hash> SuccessorCache<S> {
     /// A cache holding at most (roughly) `capacity` entries; memory is
-    /// allocated lazily as slots fill. Capacities below one slot per shard
-    /// are rounded up.
+    /// allocated lazily and grows as entries arrive. Capacities below one
+    /// slot per shard are rounded up.
     pub fn new(capacity: usize) -> Self {
         let slots_per_shard = capacity.div_ceil(SHARDS).max(1);
         SuccessorCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard { slots: Vec::new(), live: 0 })).collect(),
             slots_per_shard,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -132,7 +198,7 @@ impl<S: Clone + PartialEq + Eq + Hash> SuccessorCache<S> {
         }
     }
 
-    /// Total number of slots across all shards.
+    /// Total number of slots across all shards once fully grown.
     pub fn capacity(&self) -> usize {
         self.slots_per_shard * SHARDS
     }
@@ -148,24 +214,27 @@ impl<S: Clone + PartialEq + Eq + Hash> SuccessorCache<S> {
     where
         D: Domain<State = S> + ?Sized,
     {
+        let full = self.slots_per_shard;
+        let home = home_of(sig, full);
         let shard_idx = (sig as usize) % SHARDS;
-        let slot_idx = ((sig >> 4) as usize) % self.slots_per_shard;
         {
             let shard = self.shards[shard_idx].lock();
-            if let Some(Some(entry)) = shard.get(slot_idx) {
-                if entry.sig == sig {
-                    #[cfg(debug_assertions)]
-                    debug_assert!(
-                        entry.state == *state,
-                        "state_signature collision: two distinct states share signature {sig:#x}; \
-                         override Domain::state_signature with an injective packing"
-                    );
-                    out.clear();
-                    out.extend_from_slice(&entry.ops);
-                    let key = entry.ops_key;
-                    drop(shard);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return key;
+            if !shard.slots.is_empty() {
+                if let Some(entry) = &shard.slots[shard.find(sig, home, full)] {
+                    if entry.sig == sig {
+                        #[cfg(debug_assertions)]
+                        debug_assert!(
+                            entry.state == *state,
+                            "state_signature collision: two distinct states share signature {sig:#x}; \
+                             override Domain::state_signature with an injective packing"
+                        );
+                        out.clear();
+                        out.extend_from_slice(&entry.ops);
+                        let key = entry.ops_key;
+                        drop(shard);
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return key;
+                    }
                 }
             }
         }
@@ -177,11 +246,16 @@ impl<S: Clone + PartialEq + Eq + Hash> SuccessorCache<S> {
         let ops_key = hash_one::<Vec<OpId>>(out);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shards[shard_idx].lock();
-        if shard.is_empty() {
-            shard.resize_with(self.slots_per_shard, || None);
+        if shard.slots.is_empty() {
+            shard.grow(full);
         }
-        match &mut shard[slot_idx] {
-            // Overwrite the occupant in place, reusing its op-list buffer.
+        let mut i = shard.find(sig, home, full);
+        if shard.slots[i].is_none() && shard.slots.len() < full && 2 * (shard.live + 1) > shard.slots.len() {
+            shard.grow(full);
+            i = shard.find(sig, home, full);
+        }
+        match &mut shard.slots[i] {
+            // Overwrite the home's occupant in place, reusing its op-list buffer.
             Some(entry) => {
                 if entry.sig != sig {
                     self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -202,6 +276,7 @@ impl<S: Clone + PartialEq + Eq + Hash> SuccessorCache<S> {
                     #[cfg(not(debug_assertions))]
                     _marker: std::marker::PhantomData,
                 });
+                shard.live += 1;
             }
         }
         ops_key
@@ -331,7 +406,137 @@ mod tests {
         assert!(stats.evictions > 0, "direct-mapped slots must evict under pressure");
         // Memory bound: no shard ever holds more than slots_per_shard slots.
         for shard in &cache.shards {
-            assert!(shard.lock().len() <= cache.slots_per_shard);
+            assert!(shard.lock().slots.len() <= cache.slots_per_shard);
+        }
+    }
+
+    /// Domain whose valid-op list differs from state to state, so a lookup
+    /// answered from the wrong entry shows.
+    struct Spread;
+
+    impl Domain for Spread {
+        type State = u64;
+
+        fn initial_state(&self) -> u64 {
+            0
+        }
+        fn num_operations(&self) -> usize {
+            10
+        }
+        fn valid_operations(&self, state: &u64, out: &mut Vec<OpId>) {
+            out.push(OpId((state % 5) as u32));
+            out.push(OpId((state / 5 % 5 + 5) as u32));
+        }
+        fn apply(&self, state: &u64, op: OpId) -> u64 {
+            state.wrapping_mul(31).wrapping_add(u64::from(op.0))
+        }
+        fn goal_fitness(&self, _state: &u64) -> f64 {
+            0.0
+        }
+    }
+
+    /// Slots currently allocated across all shards.
+    fn allocated<S>(cache: &SuccessorCache<S>) -> usize {
+        cache.shards.iter().map(|shard| shard.lock().slots.len()).sum()
+    }
+
+    /// xorshift64 stream of states in `0..n`.
+    fn states(seed: u64, n: u64, count: usize) -> Vec<u64> {
+        let mut x = seed | 1;
+        (0..count)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % n
+            })
+            .collect()
+    }
+
+    #[test]
+    fn growing_shards_count_exactly_like_a_full_size_direct_mapped_table() {
+        // Reference: one signature per slot of a full-size table, home
+        // `(sig >> 4) % slots_per_shard` within shard `sig % 16`.
+        for (capacity, universe) in [(1 << 12, 3000), (1 << 12, 300), (1000, 5000), (1 << 16, 20_000)] {
+            let cache = SuccessorCache::<u64>::new(capacity);
+            let full = cache.slots_per_shard;
+            let mut table: Vec<Option<u64>> = vec![None; cache.capacity()];
+            let mut expected = CacheStats::default();
+            let mut out = Vec::new();
+            for s in states(capacity as u64, universe, 40_000) {
+                let sig = Spread.state_signature(&s);
+                let slot = &mut table[(sig as usize % SHARDS) * full + home_of(sig, full)];
+                match *slot {
+                    Some(occupant) if occupant == sig => expected.hits += 1,
+                    Some(_) => {
+                        expected.misses += 1;
+                        expected.evictions += 1;
+                    }
+                    None => expected.misses += 1,
+                }
+                *slot = Some(sig);
+                let key = cache.successors(&Spread, &s, sig, &mut out);
+                assert_eq!(out, Spread.valid_ops_vec(&s));
+                assert_eq!(key, hash_one(&out));
+            }
+            assert_eq!(cache.stats(), expected, "capacity {capacity}, {universe} states");
+        }
+    }
+
+    #[test]
+    fn concurrent_probes_stay_exact_across_growth() {
+        use std::sync::Arc;
+        let cache = Arc::new(SuccessorCache::<u64>::new(1 << 14));
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let cache = Arc::clone(&cache);
+                let start = &start;
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    start.wait();
+                    for s in states(t + 1, 6000, 20_000) {
+                        let sig = Spread.state_signature(&s);
+                        let key = cache.successors(&Spread, &s, sig, &mut out);
+                        let expected = Spread.valid_ops_vec(&s);
+                        assert_eq!(out, expected, "state {s}");
+                        assert_eq!(key, hash_one(&expected), "state {s}");
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, 80_000);
+        for shard in &cache.shards {
+            let shard = shard.lock();
+            assert!(shard.slots.len() <= cache.capacity() / SHARDS);
+            assert_eq!(shard.live, shard.slots.iter().flatten().count());
+        }
+    }
+
+    #[test]
+    fn allocation_follows_distinct_entries() {
+        let cache = SuccessorCache::<u64>::new(DEFAULT_CAPACITY);
+        assert_eq!(allocated(&cache), 0, "nothing is allocated before the first insert");
+        let mut out = Vec::new();
+        let mut inserted = 0;
+        for k in [1usize, 10, 100, 1000, 4000] {
+            while inserted < k {
+                let s = inserted as u64;
+                cache.successors(&Spread, &s, Spread.state_signature(&s), &mut out);
+                inserted += 1;
+            }
+            // At most half load before each doubling, one minimum-size
+            // table per shard.
+            assert!(allocated(&cache) <= 4 * k + SHARDS * MIN_SLOTS, "{k} entries in {} slots", allocated(&cache));
+        }
+        assert!(allocated(&cache) < cache.capacity() / 4);
+        // Enough distinct states fill every shard to exactly its full size.
+        for s in 4000..400_000u64 {
+            cache.successors(&Spread, &s, Spread.state_signature(&s), &mut out);
+        }
+        for shard in &cache.shards {
+            assert_eq!(shard.lock().slots.len(), cache.capacity() / SHARDS);
         }
     }
 

@@ -48,6 +48,13 @@ impl DataItem {
         self.history.iter().any(|t| t.program == program)
     }
 
+    /// Is `other` the same data as this item — equal in every field but
+    /// its location?
+    pub(crate) fn same_data(&self, other: &DataItem) -> bool {
+        let DataItem { kind, format, resolution, location: _, history } = self;
+        *kind == other.kind && *format == other.format && *resolution == other.resolution && *history == other.history
+    }
+
     /// Derive a new item produced by `program` from this item's lineage.
     pub fn derive(&self, program: Sym, kind: Sym, format: Sym, resolution: u16, location: SiteId) -> DataItem {
         let mut history = self.history.clone();

@@ -74,13 +74,21 @@ impl Ontology {
         self.parents.entry(child).or_default().push(parent);
     }
 
-    /// Is `a` a subtype of `b` (reflexively, transitively)?
+    /// Is `a` a subtype of `b` (reflexively, transitively)? Answers a
+    /// symbol without parents, or a direct parent, without allocating; it
+    /// runs on every requirement check of grid planning.
     pub fn is_subtype(&self, a: Sym, b: Sym) -> bool {
         if a == b {
             return true;
         }
+        let Some(direct) = self.parents.get(&a) else {
+            return false;
+        };
+        if direct.contains(&b) {
+            return true;
+        }
         let mut seen = FxHashSet::default();
-        let mut stack = vec![a];
+        let mut stack = direct.clone();
         while let Some(s) = stack.pop() {
             if !seen.insert(s) {
                 continue;
@@ -101,6 +109,55 @@ impl Ontology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The allocating DFS `is_subtype` ran on every call before its fast
+    /// paths.
+    fn reference_is_subtype(o: &Ontology, a: Sym, b: Sym) -> bool {
+        if a == b {
+            return true;
+        }
+        let mut seen = FxHashSet::default();
+        let mut stack = vec![a];
+        while let Some(s) = stack.pop() {
+            if !seen.insert(s) {
+                continue;
+            }
+            if let Some(ps) = o.parents.get(&s) {
+                for &p in ps {
+                    if p == b {
+                        return true;
+                    }
+                    stack.push(p);
+                }
+            }
+        }
+        false
+    }
+
+    proptest! {
+        #[test]
+        fn is_subtype_matches_reference_dfs_on_random_dags(
+            n in 1usize..16,
+            edges in proptest::collection::vec((0usize..16, 0usize..16), 0..40),
+        ) {
+            let mut o = Ontology::new();
+            let syms: Vec<Sym> = (0..n).map(|i| o.intern(&format!("c{i}"))).collect();
+            for (x, y) in edges {
+                let (x, y) = (x % n, y % n);
+                // Edges run from the higher to the lower index, so the
+                // graph stays acyclic.
+                if x != y {
+                    o.declare_is_a(syms[x.max(y)], syms[x.min(y)]);
+                }
+            }
+            for &a in &syms {
+                for &b in &syms {
+                    prop_assert_eq!(o.is_subtype(a, b), reference_is_subtype(&o, a, b));
+                }
+            }
+        }
+    }
 
     #[test]
     fn intern_is_idempotent() {

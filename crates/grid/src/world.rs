@@ -146,20 +146,20 @@ impl GridWorld {
                 }
                 let prog = &self.programs[p.index()];
                 let site = &self.sites[s.index()];
-                site.resources.satisfies(&prog.min_resources) && self.match_inputs(state, prog, s).is_some()
+                site.resources.satisfies(&prog.min_resources)
+                    && prog
+                        .inputs
+                        .iter()
+                        .all(|req| state.iter().any(|i| i.location == s && req.accepts(&self.ontology, i)))
             }
             GridOp::Transfer(kind, s1, s2) => {
                 if self.down[s1.index()] || self.down[s2.index()] {
                     return false;
                 }
                 match self.best_of_kind_at(state, kind, s1) {
-                    Some(item) => {
-                        // a transfer that would duplicate an existing copy
-                        // is invalid (keeps the branching factor honest)
-                        let mut copy = item.clone();
-                        copy.location = s2;
-                        !state.contains(&copy)
-                    }
+                    // a transfer that would duplicate an existing copy
+                    // is invalid (keeps the branching factor honest)
+                    Some(item) => !state.iter().any(|i| i.location == s2 && i.same_data(item)),
                     None => false,
                 }
             }
@@ -580,6 +580,51 @@ mod tests {
         let xfer = w.op_id(GridOp::Transfer(raw, SiteId(0), SiteId(1))).unwrap();
         let s1 = w.apply(&w.initial_state(), xfer);
         assert!(!w.valid_ops_vec(&s1).contains(&xfer), "copy already exists at beta");
+    }
+
+    /// `op_valid` as it was before it tested inputs and duplicate copies
+    /// in place: through `match_inputs` and a relocated clone.
+    fn reference_op_valid(w: &GridWorld, state: &WorkflowState, op: OpId) -> bool {
+        match w.ops[op.index()] {
+            GridOp::Run(p, s) => {
+                let prog = &w.programs[p.index()];
+                !w.down[s.index()]
+                    && w.sites[s.index()].resources.satisfies(&prog.min_resources)
+                    && w.match_inputs(state, prog, s).is_some()
+            }
+            GridOp::Transfer(kind, s1, s2) => {
+                !w.down[s1.index()]
+                    && !w.down[s2.index()]
+                    && w.best_of_kind_at(state, kind, s1).is_some_and(|item| {
+                        let mut copy = item.clone();
+                        copy.location = s2;
+                        !state.contains(&copy)
+                    })
+            }
+        }
+    }
+
+    #[test]
+    fn op_valid_matches_reference_on_pipeline_walks() {
+        let pipeline = crate::parser::parse_grid(include_str!("../../../data/pipeline.grid")).unwrap();
+        let mut x = 2003u64;
+        for w in [pipeline.with_down(&[false, false, false]), pipeline.with_down(&[false, true, false])] {
+            for _ in 0..100 {
+                let mut state = w.initial_state();
+                for _ in 0..10 {
+                    for i in 0..w.num_operations() {
+                        let op = OpId(i as u32);
+                        assert_eq!(w.op_valid(&state, op), reference_op_valid(&w, &state, op), "{}", w.op_name(op));
+                    }
+                    let valid = w.valid_ops_vec(&state);
+                    if valid.is_empty() {
+                        break;
+                    }
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    state = w.apply(&state, valid[(x >> 33) as usize % valid.len()]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -95,6 +95,7 @@ metric_table! {
     RetriesConflict: Counter "retries_conflict"
         "In-flight id resubmissions with a new payload (subset of `jobs_rejected`).",
     AcceptsRetried: Counter "accepts_retried" "Transient accept-loop errors retried with backoff.",
+    SuccPoolCaches: Gauge "succ_pool_caches" "Successor caches pooled for recurring problems.",
 }
 
 /// Number of cells in [`TABLE`].
@@ -414,7 +415,7 @@ mod tests {
     /// silently. Pin the wire key set and the integer encoding.
     #[test]
     fn snapshot_wire_keys_are_pinned() {
-        const WIRE_KEYS: [&str; 47] = [
+        const WIRE_KEYS: [&str; 48] = [
             "jobs_submitted",
             "jobs_completed",
             "jobs_solved",
@@ -462,6 +463,7 @@ mod tests {
             "queue_wait_ms_hist",
             "workers_configured",
             "active_jobs",
+            "succ_pool_caches",
         ];
         let mut names: Vec<&str> = TABLE.iter().map(|d| d.name).collect();
         names.sort_unstable();

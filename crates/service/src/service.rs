@@ -17,6 +17,7 @@
 //! the thread dies, and a supervisor thread respawns the worker. Every
 //! fault is counted in [`Metrics`] and visible via [`PlanService::metrics`].
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
@@ -192,22 +193,43 @@ impl Job {
     }
 }
 
-/// State shared between the service handle, its workers and the supervisor.
 /// Upper bound on distinct problems with pooled successor caches. Beyond
 /// it the pool drops the whole map — crude, but the caches are pure
-/// optimization and rebuild in one run.
+/// optimization and rebuild in one run. Only problems seen at least twice
+/// get this far (see [`SuccPool`]), so one-shot traffic never fills it.
 const SUCC_POOL_LIMIT: usize = 32;
 
+/// How many recent first-sighted problem signatures [`SuccPool`] remembers
+/// while waiting for them to recur.
+const SIGHTED_LIMIT: usize = 256;
+
+/// Successor caches shared across jobs (and grid replans) that plan the
+/// same problem, keyed by [`BuiltProblem::signature`]. Separate from the
+/// *plan* cache: a plan-cache hit skips the GA outright, while a
+/// successor-cache hit accelerates a GA that still has to run — e.g.
+/// same problem, different seed/config, or a replan after a fault.
+///
+/// A problem's cache is pooled only once its signature recurs: the first
+/// job for a signature runs with a cache of its own, dropped when the job
+/// ends, and leaves the signature in a short list of recent sightings; a
+/// second job while it is still listed admits a fresh cache into the pool
+/// for itself and every later job. One-shot problems (a fresh tile
+/// shuffle, a generated DSL problem) therefore hold cache memory only
+/// while they run.
+///
+/// [`BuiltProblem::signature`]: crate::request::BuiltProblem::signature
+#[derive(Default)]
+struct SuccPool {
+    caches: FxHashMap<u64, Arc<SuccessorCache<DynState>>>,
+    /// Signatures sighted once and not yet pooled, oldest first; at most
+    /// [`SIGHTED_LIMIT`].
+    sighted: VecDeque<u64>,
+}
+
+/// State shared between the service handle, its workers and the supervisor.
 struct Shared {
     cache: Mutex<PlanCache>,
-    /// Successor caches shared across jobs (and grid replans) that plan the
-    /// same problem, keyed by [`BuiltProblem::signature`]. Separate from the
-    /// *plan* cache: a plan-cache hit skips the GA outright, while a
-    /// successor-cache hit accelerates a GA that still has to run — e.g.
-    /// same problem, different seed/config, or a replan after a fault.
-    ///
-    /// [`BuiltProblem::signature`]: crate::request::BuiltProblem::signature
-    succ_pool: Mutex<FxHashMap<u64, Arc<SuccessorCache<DynState>>>>,
+    succ_pool: Mutex<SuccPool>,
     /// Behind an `Arc` so long-lived helper threads (e.g. the serve loop's
     /// journal forwarder) can count events without borrowing the service.
     metrics: Arc<Metrics>,
@@ -226,19 +248,33 @@ struct Shared {
 }
 
 impl Shared {
-    /// The pooled successor cache for a problem signature, creating it on
-    /// first use; `None` when the job's config disables the cache. Keyed by
-    /// problem (not config), so reruns with different seeds, overrides or
-    /// replan worlds of the same problem all warm one cache.
+    /// The successor cache for a problem signature: the pooled one when the
+    /// problem recurs, else a cache for this job alone (see [`SuccPool`]);
+    /// `None` when the job's config disables the cache. Keyed by problem
+    /// (not config), so reruns with different seeds, overrides or replan
+    /// worlds of the same problem all warm one cache.
     fn succ_cache_for(&self, sig: u64, cfg: &GaConfig) -> Option<Arc<SuccessorCache<DynState>>> {
         if !cfg.succ_cache {
             return None;
         }
         let mut pool = self.succ_pool.lock();
-        if pool.len() >= SUCC_POOL_LIMIT && !pool.contains_key(&sig) {
-            pool.clear();
+        if let Some(cache) = pool.caches.get(&sig) {
+            return Some(Arc::clone(cache));
         }
-        Some(Arc::clone(pool.entry(sig).or_insert_with(|| Arc::new(SuccessorCache::new(cfg.succ_cache_capacity)))))
+        let cache = Arc::new(SuccessorCache::new(cfg.succ_cache_capacity));
+        if let Some(pos) = pool.sighted.iter().position(|&s| s == sig) {
+            pool.sighted.remove(pos);
+            if pool.caches.len() >= SUCC_POOL_LIMIT {
+                pool.caches.clear();
+            }
+            pool.caches.insert(sig, Arc::clone(&cache));
+        } else {
+            if pool.sighted.len() == SIGHTED_LIMIT {
+                pool.sighted.pop_front();
+            }
+            pool.sighted.push_back(sig);
+        }
+        Some(cache)
     }
 }
 
@@ -263,7 +299,7 @@ impl PlanService {
         let (responses, response_rx) = std::sync::mpsc::channel();
         let shared = Arc::new(Shared {
             cache: Mutex::new(PlanCache::new(cfg.cache_capacity)),
-            succ_pool: Mutex::new(FxHashMap::default()),
+            succ_pool: Mutex::new(SuccPool::default()),
             metrics: Arc::new(Metrics::new()),
             active: Mutex::new(FxHashMap::default()),
             shutting_down: AtomicBool::new(false),
@@ -413,11 +449,13 @@ impl PlanService {
         }
     }
 
-    /// Point-in-time metrics, including the live-job gauge (the answer to
-    /// both the `metrics` and the `health` wire command).
+    /// Point-in-time metrics, including the live-job and successor-pool
+    /// gauges (the answer to both the `metrics` and the `health` wire
+    /// command).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snapshot = self.shared.metrics.snapshot();
         snapshot.values[Metric::ActiveJobs as usize] = self.shared.active.lock().len() as u64;
+        snapshot.values[Metric::SuccPoolCaches as usize] = self.shared.succ_pool.lock().caches.len() as u64;
         snapshot
     }
 
@@ -886,6 +924,31 @@ mod tests {
         assert!(second.cache_hit, "identical problem+config should hit: {second:?}");
         assert_eq!(second.plan, first.plan);
         assert_eq!(service.metrics()[Metric::CacheHits], 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn only_recurring_problems_pool_successor_caches() {
+        // No plan cache, so every job runs the GA.
+        let (service, responses) = PlanService::start(ServiceConfig {
+            workers: 1,
+            queue_capacity: 8,
+            cache_capacity: 0,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let hanoi = |id: u64, disks: usize| PlanRequest { problem: ProblemSpec::Hanoi { disks }, ..tiny_request(id) };
+        for (id, disks) in [(1, 2), (2, 3), (3, 4), (4, 5)] {
+            service.submit(hanoi(id, disks)).unwrap();
+            assert_eq!(responses.recv().unwrap().status, JobStatus::Done);
+        }
+        assert_eq!(service.metrics()[Metric::SuccPoolCaches], 0, "one-shot problems must not be pooled");
+
+        service.submit(hanoi(5, 3)).unwrap();
+        assert_eq!(responses.recv().unwrap().status, JobStatus::Done);
+        assert_eq!(service.metrics()[Metric::SuccPoolCaches], 1, "a recurring problem is pooled");
+        let pooled = Arc::clone(service.shared.succ_pool.lock().caches.values().next().unwrap());
+        assert!(pooled.stats().hits > 0, "the second job decodes through the pooled cache");
         service.shutdown();
     }
 
