@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use gaplan_obs::{self as obs, Event};
 use gaplan_service::journal::JobJournal;
-use gaplan_service::session::{LineOutcome, Session, SessionHost, SessionMode};
+use gaplan_service::session::{LineOutcome, Session, SessionHost};
 use gaplan_service::{Metric, ServiceConfig};
 use parking_lot::Mutex;
 
@@ -82,7 +82,7 @@ impl TcpServer {
         opts: NetOptions,
         addr: A,
     ) -> io::Result<TcpServer> {
-        let host = Arc::new(SessionHost::start(cfg, journal, SessionMode::Routed { coalesce: opts.coalesce })?);
+        let host = Arc::new(SessionHost::start(cfg, journal, opts.coalesce)?);
         {
             // Recovery events (durable.replay) trace on the caller's thread.
             let _obs = host.obs().map(|o| o.install());

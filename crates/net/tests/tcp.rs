@@ -2,13 +2,16 @@
 //! socket, frame-reject resilience, disconnect cancellation, and
 //! coalescing's byte-identity with an uncoalesced server.
 
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gaplan_net::loadgen::{self, LoadgenConfig};
 use gaplan_net::{NetOptions, TcpServer};
-use gaplan_service::ServiceConfig;
+use gaplan_obs as obs;
+use gaplan_service::{ObsHandle, ServiceConfig};
 use serde::json::{parse, Value};
 
 fn start(opts: NetOptions, workers: usize) -> TcpServer {
@@ -333,4 +336,56 @@ fn coalesced_plans_are_byte_identical_to_uncoalesced() {
     assert_eq!(without.coalesced_jobs, 0, "uncoalesced server reported coalescing");
     assert_eq!(with.distinct_keys, without.distinct_keys);
     assert_eq!(with.plans_hash, without.plans_hash, "coalescing changed the plans: {with:?} vs {without:?}");
+}
+
+/// Every reply line of a coalesced burst has a `svc.reply` trace event with
+/// the same client id and status, whose `internal` id names a dequeued
+/// computation — the TCP counterpart of the stdin check in the service
+/// chaos suite.
+#[test]
+fn coalesced_burst_replies_correlate_with_their_trace() {
+    let sink = obs::SharedBuf::default();
+    let cfg = ServiceConfig {
+        workers: 2,
+        obs: Some(ObsHandle::new(Arc::new(obs::JsonlSink::new(sink.clone())))),
+        ..ServiceConfig::default()
+    };
+    let server = TcpServer::bind(cfg, None, NetOptions::default(), "127.0.0.1:0").expect("bind");
+    let (mut stream, mut reader) = connect(&server);
+
+    // Three payloads under four client ids each, in one write: identical
+    // payloads are in flight together and coalesce.
+    let mut burst = String::new();
+    for id in 1..=12u64 {
+        let disks = 4 + id % 3;
+        burst.push_str(&format!(
+            r#"{{"cmd":"plan","id":{id},"problem":{{"Hanoi":{{"disks":{disks}}}}},"ga":{{"population":60,"generations":30,"phases":2}}}}"#
+        ));
+        burst.push('\n');
+    }
+    stream.write_all(burst.as_bytes()).unwrap();
+    let replies: Vec<(u64, String)> = (0..12)
+        .map(|_| {
+            let v = recv(&mut reader);
+            (num(&v, "id"), v.get("status").and_then(Value::as_str).unwrap_or("").to_string())
+        })
+        .collect();
+    drop(stream);
+    drop(reader);
+    server.stop().expect("clean stop");
+
+    let events: Vec<Value> = sink.contents().lines().map(|l| parse(l).expect("trace line is JSON")).collect();
+    let named = |name: &'static str| events.iter().filter(move |v| v.get("ev").and_then(Value::as_str) == Some(name));
+    let dequeued: HashSet<u64> = named("svc.dequeue").map(|v| num(v, "id")).collect();
+    let mut per_internal: HashMap<u64, usize> = HashMap::new();
+    for (id, status) in &replies {
+        let event = named("svc.reply")
+            .find(|v| num(v, "id") == *id && v.get("status").and_then(Value::as_str) == Some(status.as_str()))
+            .unwrap_or_else(|| panic!("no svc.reply for id {id} status {status}"));
+        let internal = num(event, "internal");
+        assert!(dequeued.contains(&internal), "reply {id} names internal {internal}, which was never dequeued");
+        *per_internal.entry(internal).or_default() += 1;
+    }
+    assert_eq!(named("svc.reply").count(), replies.len(), "one svc.reply per reply line");
+    assert!(per_internal.values().any(|&n| n > 1), "the burst never coalesced: {per_internal:?}");
 }

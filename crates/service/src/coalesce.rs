@@ -1,8 +1,8 @@
 //! Singleflight request coalescing and response fan-out.
 //!
 //! The [`Dispatch`] table sits between transport sessions and the
-//! [`crate::PlanService`]: every submission in coalescing mode is re-keyed
-//! onto a private, monotonically allocated *internal* job id, and
+//! [`crate::PlanService`]: every submission is re-keyed onto a private,
+//! monotonically allocated *internal* job id, and — with joining on —
 //! concurrent requests whose [`PlanRequest::coalesce_key`] matches an
 //! in-flight job join that job as extra *waiters* instead of burning
 //! another worker. When the shared response channel delivers the internal
@@ -10,11 +10,11 @@
 //! out to every waiter with the waiter's own client id patched in.
 //!
 //! Id spaces: the journal and the service queue always speak *internal*
-//! ids (one durable record per computation); client-visible ids exist only
-//! at the session edge. The stdin transport runs with coalescing disabled
-//! and never touches this table — its client ids double as service ids and
-//! responses reach the client through the dispatcher's fallback sink, which
-//! preserves the historical wire behavior byte for byte.
+//! ids (one durable record per computation, kept beside the leader's
+//! client id); client-visible ids exist only at the session edge. Every
+//! reply line this table produces — fan-out, failure or detach — is traced
+//! as one `svc.reply` event under the client `id`, with the `internal` id
+//! of the computation behind it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,7 +25,7 @@ use gaplan_core::CancelToken;
 use gaplan_obs::{self as obs, Event};
 use parking_lot::Mutex;
 
-use crate::journal::JobJournal;
+use crate::journal::{JobJournal, PendingJob};
 use crate::metrics::{Metric, Metrics};
 use crate::request::{JobStatus, PlanRequest, PlanResponse};
 use crate::service::{PlanService, SubmitError};
@@ -51,24 +51,31 @@ pub(crate) fn error_line(id: Option<u64>, message: &str) -> String {
     }
 }
 
-/// One client waiting on an in-flight internal job.
-struct Waiter {
-    ticket: u64,
-    conn: u64,
-    client_id: u64,
+/// Where one connection's reply lines go: its id (the scope of cancel and
+/// disconnect handling), its output sink and its write-backlog gauge.
+#[derive(Clone)]
+pub(crate) struct Route {
+    pub(crate) conn: u64,
     sink: Sender<String>,
-    depth: Arc<AtomicUsize>,
+    pub(crate) depth: Arc<AtomicUsize>,
 }
 
-impl Waiter {
-    /// Queue `line` on the waiter's connection, keeping its write-backlog
-    /// gauge honest even when the connection is already gone.
-    fn send(&self, line: String) {
+impl Route {
+    /// Queue `line` on the connection, keeping its write-backlog gauge
+    /// honest even when the connection is already gone.
+    pub(crate) fn send(&self, line: String) {
         self.depth.fetch_add(1, Ordering::Relaxed);
         if self.sink.send(line).is_err() {
             self.depth.fetch_sub(1, Ordering::Relaxed);
         }
     }
+}
+
+/// One client waiting on an in-flight internal job.
+struct Waiter {
+    ticket: u64,
+    client_id: u64,
+    route: Route,
 }
 
 /// An in-flight internal job: its coalesce key (when coalescable), the
@@ -104,6 +111,30 @@ impl Inner {
                 self.by_key.remove(&k);
             }
         }
+    }
+
+    /// A new waiter for `client_id` on `route`, entered in the
+    /// connection's id map as waiting on `internal`.
+    fn waiter(&mut self, route: &Route, client_id: u64, internal: u64) -> Waiter {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        if let Some(m) = self.conns.get_mut(&route.conn) {
+            m.insert(client_id, (ticket, internal));
+        }
+        Waiter { ticket, client_id, route: route.clone() }
+    }
+
+    /// Remove `internal`'s entry with its key and connection mappings,
+    /// returning the waiters still owed a reply.
+    fn take_entry(&mut self, internal: u64) -> Option<Vec<Waiter>> {
+        let entry = self.inflight.remove(&internal)?;
+        self.unmap_key(entry.key, internal);
+        for w in &entry.waiters {
+            if let Some(m) = self.conns.get_mut(&w.route.conn) {
+                m.remove(&w.client_id);
+            }
+        }
+        Some(entry.waiters)
     }
 }
 
@@ -145,9 +176,6 @@ pub(crate) struct Dispatch {
     /// per-connection routing and cancellation still work, identical
     /// requests just no longer share a computation.
     join: bool,
-    /// Sink for responses with no in-flight entry — the stdin transport,
-    /// where service ids are client ids and no entries are registered.
-    fallback: Mutex<Option<Sender<String>>>,
 }
 
 impl Dispatch {
@@ -157,13 +185,7 @@ impl Dispatch {
             metrics,
             journal,
             join,
-            fallback: Mutex::new(None),
         }
-    }
-
-    /// Route entry-less responses (the stdin transport) to `sink`.
-    pub(crate) fn set_fallback(&self, sink: Sender<String>) {
-        *self.fallback.lock() = Some(sink);
     }
 
     /// Reserve internal ids so fresh allocations never collide with ids
@@ -175,27 +197,33 @@ impl Dispatch {
         }
     }
 
-    /// Register a new connection; the returned id scopes cancel and
-    /// disconnect handling.
-    pub(crate) fn register_conn(&self) -> u64 {
+    /// Register a new connection replying through `sink`; the returned
+    /// route scopes cancel and disconnect handling.
+    pub(crate) fn register_conn(&self, sink: Sender<String>) -> Route {
         let mut guard = self.inner.lock();
         let conn = guard.next_conn;
         guard.next_conn += 1;
         guard.conns.insert(conn, HashMap::new());
-        conn
+        Route { conn, sink, depth: Arc::new(AtomicUsize::new(0)) }
     }
 
     /// Register a journal-recovered job that is about to be resubmitted
-    /// under its original internal id. It has no live waiters (its clients
-    /// vanished with the crashed process), but it keeps its coalesce-key
-    /// mapping so reconnecting clients resubmitting the identical request
-    /// join the recovered run instead of duplicating it.
-    pub(crate) fn register_recovered(&self, request: &PlanRequest) {
-        let key = self.join.then(|| request.coalesce_key()).flatten();
+    /// under its original internal id. With a `route` (the recovering
+    /// session), the job waits there under its client id, so its reply
+    /// reaches that session and `cancel` finds it. Without one (its clients
+    /// vanished with the crashed process) it has no waiters. Either way it
+    /// keeps its coalesce-key mapping, so reconnecting clients resubmitting
+    /// the identical request join the recovered run instead of duplicating
+    /// it.
+    pub(crate) fn register_recovered(&self, job: &PendingJob, route: Option<&Route>) {
+        let internal = job.request.id;
+        let key = self.join.then(|| job.request.coalesce_key()).flatten();
         let mut guard = self.inner.lock();
-        guard.inflight.insert(request.id, Inflight { key, token: None, cancel_requested: false, waiters: Vec::new() });
+        let inner = &mut *guard;
+        let waiters = route.map(|r| inner.waiter(r, job.client, internal)).into_iter().collect();
+        inner.inflight.insert(internal, Inflight { key, token: None, cancel_requested: false, waiters });
         if let Some(k) = key {
-            guard.by_key.entry(k).or_insert(request.id);
+            inner.by_key.entry(k).or_insert(internal);
         }
     }
 
@@ -211,25 +239,18 @@ impl Dispatch {
         }
     }
 
-    /// Submit `request` in coalescing mode for connection `conn`: join an
-    /// identical in-flight job when one exists, otherwise become the leader
-    /// of a new internal job (journaled write-ahead, then enqueued).
-    /// Failure replies are delivered through `sink` with the client id.
-    pub(crate) fn submit(
-        &self,
-        service: &PlanService,
-        request: PlanRequest,
-        conn: u64,
-        sink: &Sender<String>,
-        depth: &Arc<AtomicUsize>,
-    ) {
+    /// Submit `request` for the connection behind `route`: join an
+    /// identical in-flight job when joining is on and one exists, otherwise
+    /// become the leader of a new internal job (journaled write-ahead, then
+    /// enqueued). Failure replies go to `route` under the client id.
+    pub(crate) fn submit(&self, service: &PlanService, request: PlanRequest, route: &Route) {
         let client_id = request.id;
         let key = self.join.then(|| request.coalesce_key()).flatten();
 
         let outcome = {
             let mut guard = self.inner.lock();
             let inner = &mut *guard;
-            let already = match inner.conns.get(&conn) {
+            let already = match inner.conns.get(&route.conn) {
                 Some(m) => m.get(&client_id).copied().map(Some),
                 None => Some(None), // disconnect raced the submission
             };
@@ -249,34 +270,27 @@ impl Dispatch {
                     _ => Submitted::Duplicate,
                 }
             } else {
-                let ticket = inner.next_ticket;
-                inner.next_ticket += 1;
-                let waiter = Waiter { ticket, conn, client_id, sink: sink.clone(), depth: Arc::clone(depth) };
                 let live_leader = key
                     .and_then(|k| inner.by_key.get(&k).copied().map(|leader| (k, leader)))
                     .filter(|(_, leader)| inner.inflight.contains_key(leader));
                 match live_leader {
                     Some((k, leader)) => {
+                        let waiter = inner.waiter(route, client_id, leader);
                         if let Some(entry) = inner.inflight.get_mut(&leader) {
                             entry.waiters.push(waiter);
-                        }
-                        if let Some(m) = inner.conns.get_mut(&conn) {
-                            m.insert(client_id, (ticket, leader));
                         }
                         Submitted::Joined { leader, key: k }
                     }
                     None => {
                         let internal = inner.next_internal;
                         inner.next_internal += 1;
+                        let waiter = inner.waiter(route, client_id, internal);
                         inner.inflight.insert(
                             internal,
                             Inflight { key, token: None, cancel_requested: false, waiters: vec![waiter] },
                         );
                         if let Some(k) = key {
                             inner.by_key.insert(k, internal);
-                        }
-                        if let Some(m) = inner.conns.get_mut(&conn) {
-                            m.insert(client_id, (ticket, internal));
                         }
                         Submitted::Leader(internal)
                     }
@@ -300,8 +314,8 @@ impl Dispatch {
                     JobStatus::Rejected,
                     "duplicate id: payload differs from the in-flight request with this id",
                 );
-                emit_reply(&resp);
-                send_line(sink, depth, response_line(&resp));
+                emit_reply(&resp, None);
+                route.send(response_line(&resp));
                 return;
             }
             Submitted::Duplicate => {
@@ -311,8 +325,8 @@ impl Dispatch {
                     JobStatus::Rejected,
                     "duplicate id: a job with this id is already in flight on this connection",
                 );
-                emit_reply(&resp);
-                send_line(sink, depth, response_line(&resp));
+                emit_reply(&resp, None);
+                route.send(response_line(&resp));
                 return;
             }
             Submitted::Joined { leader, key } => {
@@ -330,7 +344,7 @@ impl Dispatch {
         internal_req.id = internal;
         if let Some(journal) = &self.journal {
             // Write-ahead: the internal job is durable before it can run.
-            if let Err(e) = journal.record_submit(&internal_req) {
+            if let Err(e) = journal.record_submit_for(client_id, &internal_req) {
                 self.fail_entry(internal, JobStatus::Error, &format!("journal write failed: {e}"), false);
                 return;
             }
@@ -356,7 +370,7 @@ impl Dispatch {
     pub(crate) fn cancel(&self, conn: u64, id: u64) -> bool {
         enum Act {
             Fire(Option<CancelToken>),
-            Detached(Option<Waiter>),
+            Detached(u64, Option<Waiter>),
         }
         let act = {
             let mut guard = self.inner.lock();
@@ -380,7 +394,7 @@ impl Dispatch {
                 if let Some(m) = inner.conns.get_mut(&conn) {
                     m.remove(&id);
                 }
-                Act::Detached(detached)
+                Act::Detached(internal, detached)
             }
         };
         match act {
@@ -389,15 +403,15 @@ impl Dispatch {
                     token.cancel();
                 }
             }
-            Act::Detached(w) => {
+            Act::Detached(internal, w) => {
                 if let Some(w) = w {
                     let resp = PlanResponse::failure(
                         w.client_id,
                         JobStatus::Cancelled,
                         "detached from coalesced job by cancel",
                     );
-                    emit_reply(&resp);
-                    w.send(response_line(&resp));
+                    emit_reply(&resp, Some(internal));
+                    w.route.send(response_line(&resp));
                 }
             }
         }
@@ -441,23 +455,12 @@ impl Dispatch {
         abandoned
     }
 
-    /// Fail a leader entry before its job produced a response: remove it,
+    /// Fail an entry before its job produced a response: remove it,
     /// optionally journal a terminal record for the already-journaled
     /// submit, and fan a failure reply to every waiter that had joined.
-    fn fail_entry(&self, internal: u64, status: JobStatus, message: &str, journal_done: bool) {
-        let waiters = {
-            let mut guard = self.inner.lock();
-            let inner = &mut *guard;
-            let Some(entry) = inner.inflight.remove(&internal) else {
-                return;
-            };
-            inner.unmap_key(entry.key, internal);
-            for w in &entry.waiters {
-                if let Some(m) = inner.conns.get_mut(&w.conn) {
-                    m.remove(&w.client_id);
-                }
-            }
-            entry.waiters
+    pub(crate) fn fail_entry(&self, internal: u64, status: JobStatus, message: &str, journal_done: bool) {
+        let Some(waiters) = self.inner.lock().take_entry(internal) else {
+            return;
         };
         if journal_done {
             if let Some(journal) = &self.journal {
@@ -468,16 +471,16 @@ impl Dispatch {
         }
         for w in waiters {
             let resp = PlanResponse::failure(w.client_id, status, message);
-            emit_reply(&resp);
-            w.send(response_line(&resp));
+            emit_reply(&resp, Some(internal));
+            w.route.send(response_line(&resp));
         }
     }
 
     /// Handle one terminal response from the shared channel: journal it
     /// durably, then fan it out to every waiter of its entry with the
-    /// waiter's client id patched in. Entry-less responses (the stdin
-    /// transport, or recovered jobs whose clients never returned) go to the
-    /// fallback sink when one is set.
+    /// waiter's client id patched in. A job nobody waits on any more
+    /// (abandoned, or recovered for clients that never came back) is only
+    /// journaled.
     pub(crate) fn complete(&self, resp: &PlanResponse) {
         if let Some(journal) = &self.journal {
             // A failed append still answers the client: availability over
@@ -486,56 +489,29 @@ impl Dispatch {
                 self.metrics.inc(Metric::JournalAppends);
             }
         }
-        let waiters = {
-            let mut guard = self.inner.lock();
-            let inner = &mut *guard;
-            match inner.inflight.remove(&resp.id) {
-                Some(entry) => {
-                    inner.unmap_key(entry.key, resp.id);
-                    for w in &entry.waiters {
-                        if let Some(m) = inner.conns.get_mut(&w.conn) {
-                            m.remove(&w.client_id);
-                        }
-                    }
-                    Some(entry.waiters)
-                }
-                None => None,
-            }
-        };
-        match waiters {
-            Some(waiters) => {
-                for w in waiters {
-                    let mut patched = resp.clone();
-                    patched.id = w.client_id;
-                    w.send(response_line(&patched));
-                }
-            }
-            None => {
-                let fallback = self.fallback.lock().clone();
-                if let Some(sink) = fallback {
-                    let _ = sink.send(response_line(resp));
-                }
-            }
+        let waiters = self.inner.lock().take_entry(resp.id).unwrap_or_default();
+        for w in waiters {
+            let mut patched = resp.clone();
+            patched.id = w.client_id;
+            emit_reply(&patched, Some(resp.id));
+            w.route.send(response_line(&patched));
         }
     }
 }
 
-/// Trace a session-synthesized terminal reply, mirroring the worker-side
-/// `svc.reply` events so every response line stays correlatable.
-fn emit_reply(resp: &PlanResponse) {
+/// Trace one terminal reply line: the client `id` and status it carries,
+/// then the `internal` id of the computation behind it when there is one
+/// (joining it to that job's `svc.dequeue` and `svc.finish` events).
+pub(crate) fn emit_reply(resp: &PlanResponse, internal: Option<u64>) {
     obs::emit(|| {
-        Event::new("svc.reply")
+        let ev = Event::new("svc.reply")
             .u64("id", resp.id)
             .str("status", resp.status.name())
-            .bool("cache_hit", false)
-            .u64("wall_ms", resp.wall_ms)
+            .bool("cache_hit", resp.cache_hit)
+            .u64("wall_ms", resp.wall_ms);
+        match internal {
+            Some(internal) => ev.u64("internal", internal),
+            None => ev,
+        }
     });
-}
-
-/// Queue one wire line on a connection sink, tracking its backlog gauge.
-fn send_line(sink: &Sender<String>, depth: &Arc<AtomicUsize>, line: String) {
-    depth.fetch_add(1, Ordering::Relaxed);
-    if sink.send(line).is_err() {
-        depth.fetch_sub(1, Ordering::Relaxed);
-    }
 }

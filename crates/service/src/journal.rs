@@ -3,12 +3,13 @@
 //! Two files on a [`Storage`] backend:
 //!
 //! * `journal.wal` — the write-ahead log. Every accepted [`PlanRequest`] is
-//!   appended (and flushed) as a [`JournalRecord::Submit`] *before* it is
-//!   enqueued; every terminal [`PlanResponse`] is appended as a
-//!   [`JournalRecord::Done`] *before* the reply line is written. A crash at
-//!   any point therefore loses no accepted job: on restart, submits without
-//!   a matching done are re-enqueued, and dones without a delivered reply
-//!   are re-emitted.
+//!   appended (and flushed) as a [`JournalRecord::SubmitFor`] *before* it is
+//!   enqueued, under its internal id beside the client's id; every terminal
+//!   [`PlanResponse`] is appended as a [`JournalRecord::Done`] under the
+//!   internal id *before* the reply line is written. A crash at any point
+//!   therefore loses no accepted job: on restart, submits without a
+//!   matching done are re-enqueued, and dones without a delivered reply are
+//!   re-emitted under the client id.
 //! * `cache.snap` — a checksummed snapshot of the plan cache, rewritten
 //!   atomically at recovery time with every completed run folded in, so the
 //!   cache survives restarts without replaying the full history.
@@ -41,10 +42,31 @@ pub const SNAP_NAME: &str = "cache.snap";
 /// framed and checksummed by [`gaplan_durable::Journal`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum JournalRecord {
-    /// A request accepted for execution, written before enqueue.
+    /// A request accepted for execution, written before enqueue, whose id
+    /// is also the client's id. Journals written before client ids were
+    /// recorded apart hold only this form.
     Submit(PlanRequest),
-    /// A terminal reply, written before it is sent to the client.
+    /// A request accepted for execution under internal id `request.id` on
+    /// behalf of a client that knows it as `client`, written before
+    /// enqueue.
+    SubmitFor {
+        /// The id the client submitted (and expects its reply under).
+        client: u64,
+        /// The request, re-keyed onto its internal id.
+        request: PlanRequest,
+    },
+    /// A terminal reply under the internal id, written before it is sent
+    /// to the client.
     Done(PlanResponse),
+}
+
+/// An accepted job with no terminal reply yet.
+#[derive(Debug, Clone)]
+pub struct PendingJob {
+    /// The id the client submitted; replies go out under it.
+    pub client: u64,
+    /// The request under its internal id.
+    pub request: PlanRequest,
 }
 
 /// Serializable plan-cache entry persisted in `cache.snap`.
@@ -85,9 +107,10 @@ impl CacheEntrySer {
 pub struct Recovery {
     /// Accepted jobs with no terminal reply yet, in submission order; the
     /// serve loop re-enqueues these.
-    pub pending: Vec<PlanRequest>,
-    /// Terminal replies journaled since the last compaction; re-emitted so
-    /// a reply that raced the crash is never lost.
+    pub pending: Vec<PendingJob>,
+    /// Terminal replies journaled since the last compaction, under their
+    /// client ids; re-emitted so a reply that raced the crash is never
+    /// lost.
     pub completed: Vec<PlanResponse>,
     /// Plan-cache contents (snapshot merged with completed runs), ready to
     /// seed a fresh [`crate::PlanCache`].
@@ -119,10 +142,17 @@ impl JobJournal {
         &self.storage
     }
 
-    /// Append (and flush) a submit record. Called before the job is
-    /// enqueued; on error the job must be refused, not run unjournaled.
+    /// Append (and flush) a submit record whose id doubles as the client
+    /// id. Called before the job is enqueued; on error the job must be
+    /// refused, not run unjournaled.
     pub fn record_submit(&self, request: &PlanRequest) -> io::Result<()> {
         self.append(&JournalRecord::Submit(request.clone()))
+    }
+
+    /// [`JobJournal::record_submit`] for a request re-keyed onto an
+    /// internal id: the record keeps the `client` id beside it.
+    pub fn record_submit_for(&self, client: u64, request: &PlanRequest) -> io::Result<()> {
+        self.append(&JournalRecord::SubmitFor { client, request: request.clone() })
     }
 
     /// Append (and flush) a terminal-reply record. Called before the reply
@@ -168,7 +198,7 @@ impl JobJournal {
         recovery.truncated_bytes = replay.truncated_bytes;
         recovery.records_replayed = replay.records.len() as u64;
 
-        let mut pending: Vec<PlanRequest> = Vec::new();
+        let mut pending: Vec<PendingJob> = Vec::new();
         for raw in &replay.records {
             let parsed = std::str::from_utf8(raw).ok().and_then(|s| serde_json::from_str::<JournalRecord>(s).ok());
             let Some(record) = parsed else {
@@ -176,15 +206,17 @@ impl JobJournal {
                 continue;
             };
             match record {
-                JournalRecord::Submit(request) => pending.push(request),
-                JournalRecord::Done(response) => {
-                    // Match the earliest unanswered submit with this id (ids
-                    // are unique among in-flight jobs but may be reused
+                JournalRecord::Submit(request) => pending.push(PendingJob { client: request.id, request }),
+                JournalRecord::SubmitFor { client, request } => pending.push(PendingJob { client, request }),
+                JournalRecord::Done(mut response) => {
+                    // Match the earliest unanswered submit with this
+                    // internal id (unique among in-flight jobs, reusable
                     // after completion). A done with no matching submit was
                     // compacted away already; drop it.
-                    if let Some(i) = pending.iter().position(|r| r.id == response.id) {
-                        let request = pending.remove(i);
-                        merge_entry(&mut entries, &request, &response);
+                    if let Some(i) = pending.iter().position(|p| p.request.id == response.id) {
+                        let job = pending.remove(i);
+                        merge_entry(&mut entries, &job.request, &response);
+                        response.id = job.client;
                         recovery.completed.push(response);
                     }
                 }
@@ -199,8 +231,8 @@ impl JobJournal {
         save_snapshot(&self.storage, SNAP_NAME, snap.as_bytes())?;
         let payloads: Vec<Vec<u8>> = pending
             .iter()
-            .map(|r| {
-                serde_json::to_string(&JournalRecord::Submit(r.clone()))
+            .map(|p| {
+                serde_json::to_string(&JournalRecord::SubmitFor { client: p.client, request: p.request.clone() })
                     .map(String::into_bytes)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("serialize journal record: {e}")))
             })
@@ -284,7 +316,7 @@ mod tests {
         }
         journal.record_done(&done(2)).unwrap();
         let rec = journal.recover().unwrap();
-        assert_eq!(rec.pending.iter().map(|r| r.id).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(rec.pending.iter().map(|p| p.request.id).collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(rec.completed.iter().map(|r| r.id).collect::<Vec<_>>(), vec![2]);
         assert_eq!(rec.records_replayed, 4);
         assert_eq!(rec.truncated_bytes, 0);
@@ -307,7 +339,7 @@ mod tests {
         let journal = JobJournal::new(storage as Arc<dyn Storage>);
         let second = journal.recover().unwrap();
         assert!(second.completed.is_empty(), "compacted replies must not re-emit");
-        assert_eq!(second.pending.iter().map(|r| r.id).collect::<Vec<_>>(), vec![9]);
+        assert_eq!(second.pending.iter().map(|p| p.request.id).collect::<Vec<_>>(), vec![9]);
         assert_eq!(second.cache_entries.len(), 1, "cache snapshot must survive compaction");
         assert_eq!(second.records_replayed, 1);
     }
@@ -351,7 +383,7 @@ mod tests {
             gaplan_durable::frame(serde_json::to_string(&JournalRecord::Submit(request(2))).unwrap().as_bytes());
         storage.append(WAL_NAME, &frame[..frame.len() / 2]).unwrap();
         let rec = journal.recover().unwrap();
-        assert_eq!(rec.pending.iter().map(|r| r.id).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(rec.pending.iter().map(|p| p.request.id).collect::<Vec<_>>(), vec![1]);
         assert!(rec.truncated_bytes > 0);
     }
 
@@ -364,6 +396,20 @@ mod tests {
         assert_eq!(rec.pending.len(), 1);
         assert!(rec.cache_entries.is_empty());
         assert_eq!(rec.malformed_records, 1);
+    }
+
+    #[test]
+    fn client_ids_survive_recovery_and_compaction() {
+        let (_, journal) = mem_journal();
+        // Two clients both named their job 1; internal ids tell them apart.
+        journal.record_submit_for(1, &request(7)).unwrap();
+        journal.record_submit_for(1, &request(8)).unwrap();
+        journal.record_done(&done(8)).unwrap();
+        let rec = journal.recover().unwrap();
+        assert_eq!(rec.pending.iter().map(|p| (p.client, p.request.id)).collect::<Vec<_>>(), vec![(1, 7)]);
+        assert_eq!(rec.completed.iter().map(|r| r.id).collect::<Vec<_>>(), vec![1], "replies re-emit as the client");
+        let again = journal.recover().unwrap();
+        assert_eq!(again.pending.iter().map(|p| (p.client, p.request.id)).collect::<Vec<_>>(), vec![(1, 7)]);
     }
 
     #[test]
@@ -381,8 +427,9 @@ mod tests {
             // Every recovered pending job was acked, in order (silent short
             // writes may drop acked records; nothing may be fabricated).
             let mut acked_it = acked.iter();
-            for req in &rec.pending {
-                assert!(acked_it.any(|&a| a == req.id), "seed {seed}: pending job {} never acked in order", req.id);
+            for job in &rec.pending {
+                let id = job.request.id;
+                assert!(acked_it.any(|&a| a == id), "seed {seed}: pending job {id} never acked in order");
             }
         }
     }

@@ -55,11 +55,11 @@ pub mod service;
 pub mod session;
 
 pub use cache::{CachedPlan, PlanCache};
-pub use journal::{CacheEntrySer, JobJournal, JournalRecord, Recovery};
+pub use journal::{CacheEntrySer, JobJournal, JournalRecord, PendingJob, Recovery};
 pub use metrics::{BucketCount, HistogramSummary, Metric, Metrics, MetricsSnapshot};
 pub use overload::{OverloadConfig, OverloadControl};
 pub use proto::{parse_command, serve, serve_with_journal, Command, ProtoError};
 pub use replan::ServiceReplanner;
 pub use request::{BuiltProblem, GaOverrides, JobStatus, PlanRequest, PlanResponse, ProblemSpec, SolveOutcome};
 pub use service::{ObsHandle, PlanService, ServiceConfig, ServiceError, SubmitError};
-pub use session::{LineOutcome, Session, SessionHost, SessionMode};
+pub use session::{LineOutcome, Session, SessionHost};

@@ -17,6 +17,11 @@
 //! `id` whenever one was readable) for an unparseable line. Responses are
 //! written as jobs finish — generally out of submission order; match them
 //! up by `id`.
+//!
+//! [`serve`] speaks the protocol over one reader/writer pair (stdin/stdout
+//! for `gaplan serve`) as a single [`Session`] on a host with coalescing
+//! off: the same routed path, duplicate-id policy, recovery and trace ids
+//! as every TCP connection.
 
 use std::io::{BufRead, Write};
 use std::sync::mpsc::channel;
@@ -27,7 +32,7 @@ use serde::json::{parse, Value};
 use crate::journal::JobJournal;
 use crate::request::PlanRequest;
 use crate::service::{ObsHandle, ServiceConfig};
-use crate::session::{LineOutcome, Session, SessionHost, SessionMode};
+use crate::session::{LineOutcome, Session, SessionHost};
 
 /// A parsed input line.
 #[derive(Debug, Clone)]
@@ -101,8 +106,9 @@ pub fn parse_command(line: &str) -> Result<Command, ProtoError> {
 }
 
 /// Run the service over `reader`/`writer` until EOF or a `shutdown`
-/// command. Responses are written by a dedicated thread as they arrive, so
-/// slow jobs never block fast ones — out-of-order by design.
+/// command. The stream is one session on a host with coalescing off.
+/// Responses are written by a dedicated thread as they arrive, so slow
+/// jobs never block fast ones — out-of-order by design.
 pub fn serve<R, W>(cfg: ServiceConfig, reader: R, writer: W) -> std::io::Result<()>
 where
     R: BufRead,
@@ -116,7 +122,8 @@ where
 /// With a journal, startup first replays it: the plan cache is reseeded
 /// from completed runs, terminal replies journaled since the last
 /// compaction are re-emitted, and accepted-but-unanswered jobs are
-/// re-enqueued. During the session every accepted request is journaled
+/// re-enqueued on this session under their client ids (so they can be
+/// cancelled). During the session every accepted request is journaled
 /// *before* it is enqueued and every terminal reply *before* it is written,
 /// so a `kill -9` at any point loses no accepted job. On EOF the queue is
 /// drained and the journal synced before the loop returns.
@@ -130,11 +137,11 @@ where
     R: BufRead,
     W: Write + Send + 'static,
 {
-    // Workers install the subscriber themselves; the serve loop also
-    // installs it so admission failures (shed/rejected) are traced too.
-    let obs_handle = cfg.obs.clone();
-    let host = SessionHost::start(cfg, journal, SessionMode::Direct)?;
-    let _obs = obs_handle.as_ref().map(ObsHandle::install);
+    // Workers and the dispatcher install the subscriber themselves; the
+    // serve loop also installs it so admission failures (shed/rejected) are
+    // traced too.
+    let host = SessionHost::start(cfg, journal, false)?;
+    let _obs = host.obs().map(ObsHandle::install);
     let (out_tx, out_rx) = channel::<String>();
 
     let writer_thread = std::thread::Builder::new().name("gaplan-serve-writer".to_string()).spawn(move || {
@@ -146,14 +153,10 @@ where
         }
     })?;
 
-    // Worker responses reach stdout through the dispatcher's fallback sink
-    // (direct mode registers no per-job waiters), journaled on the way.
-    host.set_fallback(out_tx.clone());
+    let session = Session::open(&host, out_tx, None);
     // Journal recovery: reseed the cache, re-emit journaled replies, then
-    // re-enqueue unfinished jobs.
-    host.recover(Some(&out_tx))?;
-
-    let session = Session::open(&host, out_tx.clone(), None);
+    // re-enqueue unfinished jobs on this session.
+    host.recover(Some(&session))?;
     for line in reader.lines() {
         let line = line?;
         if session.handle_line(&line) == LineOutcome::Shutdown {
@@ -161,11 +164,12 @@ where
         }
     }
 
-    // Drain: stop accepting, let queued jobs finish, flush their responses.
-    // `shutdown` emits the final `svc.shutdown` event with the drain count.
+    // Drain: dropping (not disconnecting) the session keeps its jobs
+    // running; the host shutdown finishes them, flushes their replies and
+    // emits the final `svc.shutdown` event with the drain count. Its end
+    // drops the last sender, so the writer exits.
     drop(session);
     host.shutdown()?; // drains workers + dispatcher, syncs the journal
-    drop(out_tx); // closes the writer's channel
     let _ = writer_thread.join();
     Ok(())
 }

@@ -568,7 +568,7 @@ impl Drop for ReplyGuard<'_> {
             );
             resp.wall_ms = self.submitted_at.elapsed().as_millis() as u64;
             obs::emit(|| {
-                Event::new("svc.reply")
+                Event::new("svc.finish")
                     .u64("id", resp.id)
                     .str("status", resp.status.name())
                     .bool("cache_hit", false)
@@ -699,7 +699,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
         }
         shared.active.lock().remove(&job.id);
         obs::emit(|| {
-            Event::new("svc.reply")
+            Event::new("svc.finish")
                 .u64("id", response.id)
                 .str("status", response.status.name())
                 .bool("cache_hit", response.cache_hit)

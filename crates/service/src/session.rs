@@ -4,20 +4,16 @@
 //!
 //! The host owns everything transport-independent: the worker pool, the
 //! write-ahead journal, the response-dispatcher thread and the singleflight
-//! table. A session owns everything per-client: the output sink, the write
-//! backlog gauge that feeds admission shedding, and (in coalescing mode)
-//! the connection scope for cancel and disconnect handling.
+//! table. A session owns everything per-client: the connection scope for
+//! cancel and disconnect handling, the output sink, and the write backlog
+//! gauge that feeds admission shedding.
 //!
-//! Two modes, chosen at host construction via [`SessionMode`]:
-//!
-//! * **[`SessionMode::Direct`]** (the stdin transport): client ids are
-//!   service ids, submissions go straight to the queue, and responses reach
-//!   the single session through the dispatcher's fallback sink — the
-//!   historical `serve` behavior, byte for byte.
-//! * **[`SessionMode::Routed`]** (the TCP transport): submissions are
-//!   re-keyed onto internal ids so replies route back to the submitting
-//!   connection, and — when `coalesce` is on — identical in-flight requests
-//!   share one computation (singleflight; see the `coalesce` module).
+//! There is one serving path. Every submission is re-keyed onto an
+//! internal id so its reply routes back to the submitting session; with
+//! `coalesce` on, identical in-flight requests share one computation
+//! (singleflight; see the `coalesce` module). The stdin transport is one
+//! session on a host with coalescing off; the TCP transport opens one
+//! session per connection.
 
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,27 +24,12 @@ use std::time::{Duration, Instant};
 
 use gaplan_obs::{self as obs, Event};
 
-use crate::coalesce::{error_line, response_line, Dispatch};
+use crate::coalesce::{emit_reply, error_line, response_line, Dispatch, Route};
 use crate::journal::JobJournal;
 use crate::metrics::{Metric, Metrics};
 use crate::proto::{parse_command, Command};
 use crate::request::{JobStatus, PlanRequest, PlanResponse};
 use crate::service::{ObsHandle, PlanService, ServiceConfig, SubmitError};
-
-/// How a [`SessionHost`] serves its sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionMode {
-    /// Single-client stdin mode: client ids are service ids, responses go
-    /// to the dispatcher's fallback sink.
-    Direct,
-    /// Multi-connection (TCP) mode: per-connection reply routing, cancel
-    /// scoping and disconnect cleanup. `coalesce` turns on singleflight
-    /// joining of identical in-flight requests.
-    Routed {
-        /// Coalesce identical in-flight requests into one computation.
-        coalesce: bool,
-    },
-}
 
 /// What a handled line asks the transport to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,24 +50,26 @@ pub struct SessionHost {
     dispatch: Arc<Dispatch>,
     obs: Option<ObsHandle>,
     admission_timeout: Duration,
-    routed: bool,
     dispatcher: Option<JoinHandle<()>>,
 }
 
 impl SessionHost {
-    /// Start the service and its response-dispatcher thread. `mode`
-    /// selects the serving mode for every session of this host.
-    pub fn start(cfg: ServiceConfig, journal: Option<JobJournal>, mode: SessionMode) -> io::Result<SessionHost> {
+    /// Start the service and its response-dispatcher thread. `coalesce`
+    /// turns on singleflight joining of identical in-flight requests for
+    /// every session of this host.
+    pub fn start(cfg: ServiceConfig, journal: Option<JobJournal>, coalesce: bool) -> io::Result<SessionHost> {
         let obs_handle = cfg.obs.clone();
         let admission_timeout = cfg.admission_timeout;
         let (service, responses) = PlanService::start(cfg).map_err(io::Error::from)?;
         let journal = journal.map(Arc::new);
         let metrics = service.metrics_arc();
-        let join = matches!(mode, SessionMode::Routed { coalesce: true });
-        let dispatch = Arc::new(Dispatch::new(Arc::clone(&metrics), journal.clone(), join));
+        let dispatch = Arc::new(Dispatch::new(Arc::clone(&metrics), journal.clone(), coalesce));
         let dispatcher = {
             let dispatch = Arc::clone(&dispatch);
+            let obs_handle = obs_handle.clone();
             std::thread::Builder::new().name("gaplan-dispatcher".to_string()).spawn(move || {
+                // Fan-out traces each reply line it writes.
+                let _obs = obs_handle.as_ref().map(ObsHandle::install);
                 for resp in responses {
                     dispatch.complete(&resp);
                 }
@@ -99,17 +82,18 @@ impl SessionHost {
             dispatch,
             obs: obs_handle,
             admission_timeout,
-            routed: !matches!(mode, SessionMode::Direct),
             dispatcher: Some(dispatcher),
         })
     }
 
     /// Replay the journal (when one is configured): reseed the plan cache,
-    /// re-emit journaled replies to `sink` (when given), and re-enqueue
-    /// unfinished jobs. In coalescing mode recovered jobs re-register their
-    /// coalesce keys, so reconnecting clients resubmitting the identical
-    /// request join the recovered run instead of duplicating it.
-    pub fn recover(&self, sink: Option<&Sender<String>>) -> io::Result<()> {
+    /// re-emit journaled replies to `session` (when given), and re-enqueue
+    /// unfinished jobs. Recovered jobs wait on `session` under their client
+    /// ids, so their replies reach it and `cancel` finds them; with joining
+    /// on they also re-register their coalesce keys, so reconnecting
+    /// clients resubmitting the identical request join the recovered run
+    /// instead of duplicating it.
+    pub fn recover(&self, session: Option<&Session<'_>>) -> io::Result<()> {
         let Some(journal) = &self.journal else {
             return Ok(());
         };
@@ -127,28 +111,22 @@ impl SessionHost {
         for (key, entry) in recovery.cache_entries {
             self.service.seed_cache(key, entry);
         }
-        if self.routed {
-            // Fresh internal ids must never collide with replayed ones.
-            let max_seen =
-                recovery.pending.iter().map(|r| r.id).chain(recovery.completed.iter().map(|r| r.id)).max().unwrap_or(0);
-            self.dispatch.reserve_internal(max_seen);
-        }
-        for resp in recovery.completed {
-            if let Some(sink) = sink {
-                let _ = sink.send(response_line(&resp));
+        // Fresh internal ids must never collide with recovered ones.
+        self.dispatch.reserve_internal(recovery.pending.iter().map(|p| p.request.id).max().unwrap_or(0));
+        let route = session.map(|s| &s.route);
+        if let Some(route) = route {
+            for resp in recovery.completed {
+                emit_reply(&resp, None);
+                route.send(response_line(&resp));
             }
         }
-        for request in recovery.pending {
-            if self.routed {
-                self.dispatch.register_recovered(&request);
-            }
-            let id = request.id;
+        for job in recovery.pending {
+            self.dispatch.register_recovered(&job, route);
+            let internal = job.request.id;
             loop {
-                match self.service.submit(request.clone()) {
+                match self.service.submit(job.request.clone()) {
                     Ok(token) => {
-                        if self.routed {
-                            self.dispatch.store_token(id, token);
-                        }
+                        self.dispatch.store_token(internal, token);
                         break;
                     }
                     Err(SubmitError::QueueFull | SubmitError::Shed) => {
@@ -157,13 +135,7 @@ impl SessionHost {
                         std::thread::sleep(Duration::from_millis(2));
                     }
                     Err(err) => {
-                        let resp = PlanResponse::failure(id, JobStatus::Rejected, err.to_string());
-                        if journal.record_done(&resp).is_ok() {
-                            self.metrics.inc(Metric::JournalAppends);
-                        }
-                        if let Some(sink) = sink {
-                            let _ = sink.send(response_line(&resp));
-                        }
+                        self.dispatch.fail_entry(internal, JobStatus::Rejected, &err.to_string(), true);
                         break;
                     }
                 }
@@ -202,29 +174,21 @@ impl SessionHost {
     pub fn obs(&self) -> Option<&ObsHandle> {
         self.obs.as_ref()
     }
-
-    /// Is this host serving in routed (multi-connection) mode?
-    pub fn routed(&self) -> bool {
-        self.routed
-    }
-
-    /// Route responses with no registered waiter to `sink` — the direct
-    /// (stdin) transport, which never registers entries.
-    pub(crate) fn set_fallback(&self, sink: Sender<String>) {
-        self.dispatch.set_fallback(sink);
-    }
 }
 
 /// One client's view of a [`SessionHost`]: parses protocol lines and turns
 /// them into submissions, cancellations and snapshot queries, pushing every
 /// reply line onto the session's output sink.
+///
+/// A session ends one of two ways. [`Session::disconnect`] abandons its
+/// in-flight jobs (a vanished peer). Dropping it leaves them running, and
+/// their replies still reach the output sink until the host shuts down (a
+/// stdin EOF drains).
 pub struct Session<'h> {
     host: &'h SessionHost,
-    /// Connection scope in coalescing mode; `None` in direct mode.
-    conn: Option<u64>,
-    out: Sender<String>,
-    /// Reply lines queued but not yet written to the peer.
-    depth: Arc<AtomicUsize>,
+    /// Connection scope, output sink and reply lines queued but not yet
+    /// written to the peer.
+    route: Route,
     /// Queue-depth bound above which new `plan` commands are shed (after
     /// waiting out the admission timeout). `None` disables backpressure.
     backlog_limit: Option<usize>,
@@ -236,20 +200,19 @@ impl<'h> Session<'h> {
     /// [`Session::written`] as lines drain (only meaningful with a
     /// `backlog_limit`).
     pub fn open(host: &'h SessionHost, out: Sender<String>, backlog_limit: Option<usize>) -> Session<'h> {
-        let conn = host.routed.then(|| host.dispatch.register_conn());
-        Session { host, conn, out, depth: Arc::new(AtomicUsize::new(0)), backlog_limit }
+        Session { host, route: host.dispatch.register_conn(out), backlog_limit }
     }
 
     /// The write-backlog gauge: incremented when a reply line is queued,
     /// decremented by the transport (via [`Session::written`]) once the
     /// line reaches the peer.
     pub fn backlog(&self) -> Arc<AtomicUsize> {
-        Arc::clone(&self.depth)
+        Arc::clone(&self.route.depth)
     }
 
     /// Tell the session one queued line was written to the peer.
     pub fn written(&self) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
+        self.route.depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Handle one protocol line, queuing any replies it produces.
@@ -259,27 +222,24 @@ impl<'h> Session<'h> {
         }
         match parse_command(line) {
             Ok(Command::Plan(request)) => {
-                self.submit_plan(request);
+                self.submit_plan(*request);
                 LineOutcome::Continue
             }
             Ok(Command::Cancel { id }) => {
-                let found = match self.conn {
-                    Some(conn) => self.host.dispatch.cancel(conn, id),
-                    None => self.host.service.cancel(id),
-                };
-                self.send(format!(r#"{{"ack":"cancel","id":{id},"found":{found}}}"#));
+                let found = self.host.dispatch.cancel(self.route.conn, id);
+                self.route.send(format!(r#"{{"ack":"cancel","id":{id},"found":{found}}}"#));
                 LineOutcome::Continue
             }
             Ok(cmd @ (Command::Metrics | Command::Health)) => {
                 // `health` is an alias: the same body under its own key.
                 let key = if matches!(cmd, Command::Health) { "health" } else { "metrics" };
                 let body = serde_json::to_string(&self.host.service.metrics()).unwrap_or_else(|_| "null".to_string());
-                self.send(format!(r#"{{"{key}":{body}}}"#));
+                self.route.send(format!(r#"{{"{key}":{body}}}"#));
                 LineOutcome::Continue
             }
             Ok(Command::Shutdown) => LineOutcome::Shutdown,
             Err(err) => {
-                self.send(error_line(err.id, &err.message));
+                self.route.send(error_line(err.id, &err.message));
                 LineOutcome::Continue
             }
         }
@@ -288,122 +248,91 @@ impl<'h> Session<'h> {
     /// Queue a transport-detected error reply (e.g. a rejected frame) so
     /// the failure still reaches the peer as a protocol line.
     pub fn report_error(&self, id: Option<u64>, message: &str) {
-        self.send(error_line(id, message));
+        self.route.send(error_line(id, message));
     }
 
     /// End the session, detaching any in-flight waiters it owns; the last
     /// waiter of a job abandons it (fires its cancel token). Returns how
     /// many in-flight jobs this session abandoned.
-    pub fn disconnect(mut self) -> usize {
-        self.teardown()
+    pub fn disconnect(self) -> usize {
+        self.host.dispatch.drop_conn(self.route.conn)
     }
 
-    fn teardown(&mut self) -> usize {
-        match self.conn.take() {
-            Some(conn) => self.host.dispatch.drop_conn(conn),
-            None => 0,
-        }
-    }
-
-    fn submit_plan(&self, request: Box<PlanRequest>) {
-        match self.conn {
-            Some(conn) => {
-                // Per-connection write backpressure: a peer that stops
-                // reading its replies is shed before admission instead of
-                // queuing unbounded output.
-                if let Some(limit) = self.backlog_limit {
-                    if !self.wait_backlog(limit) {
-                        self.host.metrics.inc(Metric::JobsShed);
-                        let resp = PlanResponse::failure(
-                            request.id,
-                            JobStatus::Shed,
-                            "connection write backlog full past the admission timeout",
-                        );
-                        obs::emit(|| {
-                            Event::new("svc.reply")
-                                .u64("id", resp.id)
-                                .str("status", resp.status.name())
-                                .bool("cache_hit", false)
-                                .u64("wall_ms", resp.wall_ms)
-                        });
-                        self.send(response_line(&resp));
-                        return;
-                    }
-                }
-                self.host.dispatch.submit(&self.host.service, *request, conn, &self.out, &self.depth);
-            }
-            None => self.submit_direct(request),
-        }
-    }
-
-    /// The direct (stdin) submission path — the historical serve-loop
-    /// behavior: journal write-ahead, submit under the client id, answer
-    /// admission failures inline.
-    fn submit_direct(&self, request: Box<PlanRequest>) {
-        let id = request.id;
-        if let Some(journal) = &self.host.journal {
-            // Write-ahead: the job is durable before it can run. A failed
-            // append refuses the job — running it unjournaled would make a
-            // crash silently drop an "accepted" job.
-            if let Err(e) = journal.record_submit(&request) {
-                let resp = PlanResponse::failure(id, JobStatus::Error, format!("journal write failed: {e}"));
-                self.send(response_line(&resp));
+    fn submit_plan(&self, request: PlanRequest) {
+        // Per-connection write backpressure: a peer that stops reading its
+        // replies is shed before admission instead of queuing unbounded
+        // output.
+        if let Some(limit) = self.backlog_limit {
+            if !self.wait_backlog(limit) {
+                self.host.metrics.inc(Metric::JobsShed);
+                let resp = PlanResponse::failure(
+                    request.id,
+                    JobStatus::Shed,
+                    "connection write backlog full past the admission timeout",
+                );
+                emit_reply(&resp, None);
+                self.route.send(response_line(&resp));
                 return;
             }
-            self.host.metrics.inc(Metric::JournalAppends);
         }
-        if let Err(err) = self.host.service.submit(*request) {
-            let status = match err {
-                SubmitError::Shed => JobStatus::Shed,
-                // WouldMissDeadline rejects at admission; the error string
-                // carries `would_miss_deadline` so clients can tell it from
-                // a full queue.
-                _ => JobStatus::Rejected,
-            };
-            let resp = PlanResponse::failure(id, status, err.to_string());
-            obs::emit(|| {
-                Event::new("svc.reply")
-                    .u64("id", resp.id)
-                    .str("status", resp.status.name())
-                    .bool("cache_hit", false)
-                    .u64("wall_ms", resp.wall_ms)
-            });
-            if let Some(journal) = &self.host.journal {
-                // Terminal record for the journaled submit, so a restart
-                // does not resurrect a shed job.
-                if journal.record_done(&resp).is_ok() {
-                    self.host.metrics.inc(Metric::JournalAppends);
-                }
-            }
-            self.send(response_line(&resp));
-        }
+        self.host.dispatch.submit(&self.host.service, request, &self.route);
     }
 
     fn wait_backlog(&self, limit: usize) -> bool {
-        if self.depth.load(Ordering::Relaxed) < limit {
+        let below = || self.route.depth.load(Ordering::Relaxed) < limit;
+        if below() {
             return true;
         }
         let deadline = Instant::now() + self.host.admission_timeout;
         while Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
-            if self.depth.load(Ordering::Relaxed) < limit {
+            if below() {
                 return true;
             }
         }
         false
     }
-
-    fn send(&self, line: String) {
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        if self.out.send(line).is_err() {
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
 }
 
-impl Drop for Session<'_> {
-    fn drop(&mut self) {
-        // Safety net for transports that forget to call `disconnect`.
-        self.teardown();
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::channel;
+
+    use gaplan_durable::{MemStorage, Storage};
+
+    use super::*;
+    use crate::overload::OverloadConfig;
+    use crate::request::ProblemSpec;
+
+    /// A recovered job whose resubmission fails at admission must leave no
+    /// dispatch entry behind: an identical request from a reconnecting
+    /// client then leads its own job and gets exactly one terminal reply,
+    /// instead of joining a job that never completes.
+    #[test]
+    fn failed_recovery_resubmit_leaves_no_joinable_entry() {
+        let request = PlanRequest { id: 4, problem: ProblemSpec::Hanoi { disks: 3 }, deadline_ms: Some(1), ga: None };
+        let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+        JobJournal::new(Arc::clone(&storage)).record_submit_for(9, &request).unwrap();
+        let cfg = ServiceConfig {
+            workers: 1,
+            overload: OverloadConfig { deadline_admission: true, ..OverloadConfig::default() },
+            ..ServiceConfig::default()
+        };
+        let host = SessionHost::start(cfg, Some(JobJournal::new(storage)), true).unwrap();
+        // Seed the exec EWMA (250 ms) with one job queued: admission now
+        // estimates a wait no `deadline_ms: 1` job can meet.
+        host.metrics().on_exec(1_000);
+        host.metrics().add(Metric::QueueDepth, 1);
+        host.recover(None).unwrap();
+
+        let (tx, rx) = channel();
+        let session = Session::open(&host, tx, None);
+        session.handle_line(r#"{"cmd":"plan","id":9,"problem":{"Hanoi":{"disks":3}},"deadline_ms":1}"#);
+        let reply = rx.recv_timeout(Duration::from_secs(10)).expect("the resubmission must be answered");
+        assert!(reply.contains(r#""id":9,"status":"Rejected""#), "{reply}");
+        assert!(reply.contains("would_miss_deadline"), "{reply}");
+        drop(session);
+        host.shutdown().unwrap();
+        assert_eq!(rx.try_iter().count(), 0, "exactly one terminal reply");
     }
 }

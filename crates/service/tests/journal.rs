@@ -122,3 +122,28 @@ fn metrics_and_health_report_journal_counters() {
     assert!(health.contains("\"journal_replayed\":1"), "{health}");
     assert!(health.contains("\"journal_appends\""), "{health}");
 }
+
+#[test]
+fn parent_format_wal_replays_under_its_client_ids() {
+    // A WAL as the stdin path wrote it before client ids were journaled
+    // apart: plain `Submit` records whose id is the client id, and a `Done`
+    // under that same id. Job 11 completed; job 12 was still pending.
+    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    let journal = JobJournal::new(storage.clone());
+    journal.record_submit(&request(11, 3)).unwrap();
+    journal.record_submit(&request(12, 3)).unwrap();
+    let mut reply = gaplan_service::PlanResponse::failure(11, gaplan_service::JobStatus::Done, "");
+    reply.error = None;
+    journal.record_done(&reply).unwrap();
+    journal.sync().unwrap();
+
+    // The completed reply re-emits and the pending job is answered, each
+    // exactly once and under the id the client sent; a fresh job on the
+    // recovering session is unaffected by the recovered ids.
+    let lines = session(&storage, "{\"cmd\":\"plan\",\"id\":1,\"problem\":{\"Hanoi\":{\"disks\":3}}}\n");
+    for id in [11, 12, 1] {
+        let replies = terminal_lines(&lines, id);
+        assert_eq!(replies.len(), 1, "job {id} should get exactly one terminal reply: {lines:?}");
+        assert!(replies[0].contains("\"status\":\"Done\""), "job {id}: {}", replies[0]);
+    }
+}

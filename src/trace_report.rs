@@ -55,7 +55,8 @@ pub struct TraceSummary {
     pub grid_events: BTreeMap<String, u64>,
     /// `(makespan, failed)` from the trailing `grid.done` event.
     pub grid_done: Option<(f64, bool)>,
-    /// `svc.reply` counts keyed by response status.
+    /// `svc.reply` counts keyed by response status: one per reply line, so
+    /// a coalesced computation counts once per waiter.
     pub replies: BTreeMap<String, u64>,
     /// `svc.conn` counts: opens, closes, total waiters abandoned by
     /// disconnects.

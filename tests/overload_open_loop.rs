@@ -107,7 +107,7 @@ fn open_loop_overload_sheds_but_never_loses_or_corrupts() {
         recovery.pending.is_empty(),
         "journal left {} unsettled job(s) after a clean drain: ids {:?}",
         recovery.pending.len(),
-        recovery.pending.iter().map(|r| r.id).collect::<Vec<_>>()
+        recovery.pending.iter().map(|p| p.request.id).collect::<Vec<_>>()
     );
 
     let _ = std::fs::remove_dir_all(&dir);
