@@ -33,7 +33,9 @@
 //!
 //! Everything here defaults *off* ([`OverloadConfig::default`]), keeping
 //! the service byte-for-byte compatible with the pre-overload releases
-//! until `--target-ms` / `--brownout` opt in.
+//! until `--target-ms` / `--brownout` opt in. Those two values are the
+//! whole policy: the interval, admission switch and brownout thresholds
+//! are derived from them (see [`OverloadConfig`]).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -43,39 +45,34 @@ use parking_lot::Mutex;
 
 use crate::metrics::{Metric, Metrics};
 
+/// CoDel control interval: how long sojourn must stay above target before
+/// the first head drop, and the base spacing of subsequent drops.
+const CODEL_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Brownout hysteresis base when no CoDel target is set, milliseconds
+/// (thresholds 50 / 12).
+const BROWNOUT_BASE_MS: u64 = 25;
+
 /// Tuning for the overload-control layer. The default disables every
 /// control, reproducing the fixed-admission-timeout service exactly.
+///
+/// A sojourn target `T > 0` turns on CoDel head shedding at `T` (interval
+/// 100 ms) and deadline-aware admission. Brownout engages when the
+/// queue-wait EWMA reaches `2·T` and disengages below `max(T/2, 1)`, with
+/// `T = 25` when no target is set.
 #[derive(Debug, Clone)]
 pub struct OverloadConfig {
-    /// CoDel sojourn target, milliseconds; 0 disables head shedding.
+    /// CoDel sojourn target, milliseconds; 0 disables head shedding and
+    /// deadline admission.
     pub codel_target_ms: u64,
-    /// CoDel control interval, milliseconds (how long sojourn must stay
-    /// above target before the first head drop, and the base spacing of
-    /// subsequent drops).
-    pub codel_interval_ms: u64,
-    /// Reject jobs at admission when their deadline is provably unmeetable
-    /// given the estimated queue wait.
-    pub deadline_admission: bool,
     /// Brownout floor for the GA budget factor, in (0, 1); 0 or ≥ 1
     /// disables brownout.
     pub brownout_floor: f64,
-    /// Queue-wait EWMA above which brownout engages, milliseconds.
-    pub brownout_enter_ms: u64,
-    /// Queue-wait EWMA below which brownout disengages, milliseconds
-    /// (should be below `brownout_enter_ms` for hysteresis).
-    pub brownout_exit_ms: u64,
 }
 
 impl Default for OverloadConfig {
     fn default() -> Self {
-        OverloadConfig {
-            codel_target_ms: 0,
-            codel_interval_ms: 100,
-            deadline_admission: false,
-            brownout_floor: 1.0,
-            brownout_enter_ms: 50,
-            brownout_exit_ms: 12,
-        }
+        OverloadConfig { codel_target_ms: 0, brownout_floor: 1.0 }
     }
 }
 
@@ -85,9 +82,32 @@ impl OverloadConfig {
         self.codel_target_ms > 0
     }
 
+    /// Are jobs with a provably unmeetable deadline rejected at admission?
+    pub fn deadline_admission(&self) -> bool {
+        self.codel_target_ms > 0
+    }
+
     /// Is anytime brownout on?
     pub fn brownout_enabled(&self) -> bool {
         self.brownout_floor > 0.0 && self.brownout_floor < 1.0
+    }
+
+    /// Queue-wait EWMA at which brownout engages, milliseconds.
+    pub fn brownout_enter_ms(&self) -> u64 {
+        self.brownout_base_ms().saturating_mul(2)
+    }
+
+    /// Queue-wait EWMA below which brownout disengages, milliseconds.
+    pub fn brownout_exit_ms(&self) -> u64 {
+        (self.brownout_base_ms() / 2).max(1)
+    }
+
+    fn brownout_base_ms(&self) -> u64 {
+        if self.codel_target_ms > 0 {
+            self.codel_target_ms
+        } else {
+            BROWNOUT_BASE_MS
+        }
     }
 }
 
@@ -125,11 +145,6 @@ impl OverloadControl {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &OverloadConfig {
-        &self.cfg
-    }
-
     /// Estimated queue wait for a job admitted now, milliseconds: the
     /// larger of the observed wait EWMA and the backlog estimate
     /// `queue_depth × exec_ewma / workers`.
@@ -142,7 +157,7 @@ impl OverloadControl {
     /// queueing? Always false with deadline admission off or before any
     /// wait/exec samples exist (est = 0 ⇒ no evidence to reject on).
     pub fn would_miss_deadline(&self, metrics: &Metrics, deadline: Instant, now: Instant) -> bool {
-        if !self.cfg.deadline_admission {
+        if !self.cfg.deadline_admission() {
             return false;
         }
         let est = self.estimated_wait_ms(metrics);
@@ -160,7 +175,6 @@ impl OverloadControl {
         if !self.cfg.codel_enabled() {
             return false;
         }
-        let interval = Duration::from_millis(self.cfg.codel_interval_ms.max(1));
         let now = Instant::now();
         let mut st = self.codel.lock();
         if sojourn_ms < self.cfg.codel_target_ms {
@@ -175,7 +189,7 @@ impl OverloadControl {
             match st.drop_next {
                 Some(t) if now >= t => {
                     st.count = st.count.saturating_add(1);
-                    st.drop_next = Some(now + interval.div_f64((st.count as f64).sqrt()));
+                    st.drop_next = Some(now + CODEL_INTERVAL.div_f64((st.count as f64).sqrt()));
                     true
                 }
                 _ => false,
@@ -183,7 +197,7 @@ impl OverloadControl {
         } else {
             match st.first_above {
                 None => {
-                    st.first_above = Some(now + interval);
+                    st.first_above = Some(now + CODEL_INTERVAL);
                     false
                 }
                 Some(t) if now >= t => {
@@ -191,7 +205,7 @@ impl OverloadControl {
                     // shed this head job.
                     st.dropping = true;
                     st.count = 1;
-                    st.drop_next = Some(now + interval);
+                    st.drop_next = Some(now + CODEL_INTERVAL);
                     true
                 }
                 Some(_) => false,
@@ -207,9 +221,9 @@ impl OverloadControl {
             return 1.0;
         }
         let wait = metrics.queue_wait_ewma_ms();
-        let enter = self.cfg.brownout_enter_ms.max(1);
+        let enter = self.cfg.brownout_enter_ms();
         let on = self.brownout_on.load(Ordering::Relaxed);
-        let next = if on { wait > self.cfg.brownout_exit_ms } else { wait >= enter };
+        let next = if on { wait > self.cfg.brownout_exit_ms() } else { wait >= enter };
         if next != on && self.brownout_on.compare_exchange(on, next, Ordering::Relaxed, Ordering::Relaxed).is_ok() {
             obs::emit(|| Event::new("svc.brownout").bool("on", next).u64("queue_wait_ewma_ms", wait));
         }
@@ -240,7 +254,7 @@ mod tests {
         let cfg = OverloadConfig::default();
         assert!(!cfg.codel_enabled());
         assert!(!cfg.brownout_enabled());
-        assert!(!cfg.deadline_admission);
+        assert!(!cfg.deadline_admission());
         let ctl = control(cfg, 2);
         let m = Metrics::new();
         assert!(!ctl.codel_on_dequeue(10_000));
@@ -249,19 +263,45 @@ mod tests {
     }
 
     #[test]
+    fn target_and_floor_derive_the_whole_policy() {
+        assert_eq!(CODEL_INTERVAL, Duration::from_millis(100));
+        // `--target-ms 50 --brownout 0.25`: every control on.
+        let cfg = OverloadConfig { codel_target_ms: 50, brownout_floor: 0.25 };
+        assert!(cfg.codel_enabled());
+        assert!(cfg.deadline_admission());
+        assert!(cfg.brownout_enabled());
+        assert_eq!((cfg.brownout_enter_ms(), cfg.brownout_exit_ms()), (100, 25));
+        // `--brownout 0.25` alone: brownout only, at the 50 / 12 defaults.
+        let cfg = OverloadConfig { codel_target_ms: 0, brownout_floor: 0.25 };
+        assert!(!cfg.codel_enabled());
+        assert!(!cfg.deadline_admission());
+        assert!(cfg.brownout_enabled());
+        assert_eq!((cfg.brownout_enter_ms(), cfg.brownout_exit_ms()), (50, 12));
+        // No target and floor 1: everything off.
+        let cfg = OverloadConfig { codel_target_ms: 0, brownout_floor: 1.0 };
+        assert!(!cfg.codel_enabled());
+        assert!(!cfg.deadline_admission());
+        assert!(!cfg.brownout_enabled());
+        // Small targets keep the exit threshold at 1 ms or more.
+        let cfg = OverloadConfig { codel_target_ms: 1, brownout_floor: 0.25 };
+        assert_eq!((cfg.brownout_enter_ms(), cfg.brownout_exit_ms()), (2, 1));
+    }
+
+    #[test]
     fn codel_drops_only_after_a_sustained_interval_then_paces() {
-        let cfg = OverloadConfig { codel_target_ms: 1, codel_interval_ms: 20, ..OverloadConfig::default() };
+        let cfg = OverloadConfig { codel_target_ms: 1, ..OverloadConfig::default() };
+        let past_interval = CODEL_INTERVAL + Duration::from_millis(5);
         let ctl = control(cfg, 1);
         // First above-target sojourn only arms the controller.
         assert!(!ctl.codel_on_dequeue(50));
         // Still within the interval: no drop yet.
         assert!(!ctl.codel_on_dequeue(50));
-        std::thread::sleep(Duration::from_millis(25));
+        std::thread::sleep(past_interval);
         // Above target for a full interval: head drop.
         assert!(ctl.codel_on_dequeue(50), "expected the first head drop");
         // Immediately after a drop the next one is paced out.
         assert!(!ctl.codel_on_dequeue(50));
-        std::thread::sleep(Duration::from_millis(25));
+        std::thread::sleep(past_interval);
         assert!(ctl.codel_on_dequeue(50), "expected a paced follow-up drop");
         // A below-target sojourn resets the controller completely.
         assert!(!ctl.codel_on_dequeue(0));
@@ -270,12 +310,8 @@ mod tests {
 
     #[test]
     fn brownout_engages_with_hysteresis_and_recovers() {
-        let cfg = OverloadConfig {
-            brownout_floor: 0.25,
-            brownout_enter_ms: 20,
-            brownout_exit_ms: 5,
-            ..OverloadConfig::default()
-        };
+        // Target 10 ms: brownout enters at 20 ms and exits at 5 ms.
+        let cfg = OverloadConfig { codel_target_ms: 10, brownout_floor: 0.25 };
         let ctl = control(cfg, 1);
         let m = Metrics::new();
         assert_eq!(ctl.brownout_factor(&m), 1.0);
@@ -302,7 +338,7 @@ mod tests {
 
     #[test]
     fn admission_rejects_unmeetable_deadlines_only_with_evidence() {
-        let cfg = OverloadConfig { deadline_admission: true, ..OverloadConfig::default() };
+        let cfg = OverloadConfig { codel_target_ms: 50, ..OverloadConfig::default() };
         let ctl = control(cfg, 1);
         let m = Metrics::new();
         let now = Instant::now();
@@ -317,7 +353,7 @@ mod tests {
         assert!(ctl.would_miss_deadline(&m, now + Duration::from_millis(10), now));
         assert!(!ctl.would_miss_deadline(&m, now + Duration::from_secs(1), now));
         // A two-worker pool halves the backlog estimate.
-        let ctl2 = control(OverloadConfig { deadline_admission: true, ..OverloadConfig::default() }, 2);
+        let ctl2 = control(OverloadConfig { codel_target_ms: 50, ..OverloadConfig::default() }, 2);
         assert_eq!(ctl2.estimated_wait_ms(&m), 75);
     }
 }

@@ -308,6 +308,16 @@ pub struct SolveOutcome {
     pub stopped: Option<StopCause>,
 }
 
+/// Most genes one generation of an overridden request may hold
+/// (`population × max_len`): 16 Mi, above the default config of every
+/// Hanoi instance up to 14 disks. A wire request cannot claim more memory
+/// than this, since an allocation failure is no panic a worker can catch.
+pub const MAX_GENES_PER_GENERATION: u64 = 1 << 24;
+
+/// Most generations an overridden request may run in total
+/// (`generations × phases`).
+pub const MAX_TOTAL_GENERATIONS: u64 = 1 << 16;
+
 /// Per-request GA overrides. Every field is optional; missing fields keep
 /// the domain's default (see [`BuiltProblem::default_config`]).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -343,7 +353,7 @@ impl GaOverrides {
         if let Some(l) = self.initial_len {
             cfg.initial_len = l.max(1);
             if self.max_len.is_none() {
-                cfg.max_len = 5 * cfg.initial_len;
+                cfg.max_len = cfg.initial_len.saturating_mul(5);
             }
         }
         if let Some(l) = self.max_len {
@@ -353,6 +363,28 @@ impl GaOverrides {
             cfg.seed = s;
         }
         cfg
+    }
+
+    /// [`GaOverrides::apply`], refusing a run larger than
+    /// [`MAX_GENES_PER_GENERATION`] or [`MAX_TOTAL_GENERATIONS`]. The
+    /// error names the limit.
+    pub fn resolve(&self, defaults: GaConfig) -> Result<GaConfig, String> {
+        let cfg = self.apply(defaults);
+        let genes = (cfg.population_size as u64).saturating_mul(cfg.max_len as u64);
+        if genes > MAX_GENES_PER_GENERATION {
+            return Err(format!(
+                "ga overrides ask for {genes} genes per generation (population × max_len); \
+                 the limit is {MAX_GENES_PER_GENERATION}"
+            ));
+        }
+        let generations = u64::from(cfg.generations_per_phase) * u64::from(cfg.max_phases);
+        if generations > MAX_TOTAL_GENERATIONS {
+            return Err(format!(
+                "ga overrides ask for {generations} generations (generations × phases); \
+                 the limit is {MAX_TOTAL_GENERATIONS}"
+            ));
+        }
+        Ok(cfg)
     }
 }
 
@@ -376,14 +408,14 @@ impl PlanRequest {
     /// The plan-cache key this request's run would be stored under,
     /// mirroring the worker's `PlanCache::key(built.signature(),
     /// cfg.signature())`. `None` when the request can never be cached
-    /// (chaos jobs, unbuildable specs).
+    /// (chaos jobs, unbuildable specs, overrides past the size limits).
     pub fn cache_key(&self) -> Option<u64> {
         if matches!(self.problem, ProblemSpec::Chaos { .. }) {
             return None;
         }
         let built = self.problem.build().ok()?;
         let cfg = match &self.ga {
-            Some(overrides) => overrides.apply(built.default_config()),
+            Some(overrides) => overrides.resolve(built.default_config()).ok()?,
             None => built.default_config(),
         };
         Some(crate::cache::PlanCache::key(built.signature(), cfg.signature()))
@@ -618,6 +650,42 @@ mod tests {
         let cfg = GaOverrides { initial_len: Some(7), ..GaOverrides::default() }.apply(base_config(10));
         assert_eq!(cfg.initial_len, 7);
         assert_eq!(cfg.max_len, 35);
+    }
+
+    #[test]
+    fn oversized_overrides_are_never_cached_or_coalesced() {
+        let huge = PlanRequest {
+            id: 1,
+            problem: ProblemSpec::Hanoi { disks: 4 },
+            deadline_ms: None,
+            ga: Some(GaOverrides { population: Some(4_000_000_000), ..GaOverrides::default() }),
+        };
+        assert_eq!(huge.cache_key(), None);
+        assert_eq!(huge.coalesce_key(), None);
+    }
+
+    #[test]
+    fn overrides_past_the_size_limits_are_refused() {
+        let hanoi4 = ProblemSpec::Hanoi { disks: 4 }.build().unwrap().default_config();
+        let err = GaOverrides { population: Some(4_000_000_000), ..GaOverrides::default() }
+            .resolve(hanoi4.clone())
+            .unwrap_err();
+        assert!(err.contains("genes per generation") && err.contains(&MAX_GENES_PER_GENERATION.to_string()), "{err}");
+        let err = GaOverrides { initial_len: Some(usize::MAX), ..GaOverrides::default() }
+            .resolve(hanoi4.clone())
+            .unwrap_err();
+        assert!(err.contains("genes per generation"), "{err}");
+        let err = GaOverrides { generations: Some(u32::MAX), phases: Some(u32::MAX), ..GaOverrides::default() }
+            .resolve(hanoi4)
+            .unwrap_err();
+        assert!(err.contains("generations × phases") && err.contains(&MAX_TOTAL_GENERATIONS.to_string()), "{err}");
+        // The largest in-tree request: Hanoi-10 at 400 × 5115 genes and
+        // 400 generations × 5 phases.
+        let hanoi10 = ProblemSpec::Hanoi { disks: 10 }.build().unwrap().default_config();
+        let big =
+            GaOverrides { population: Some(400), generations: Some(400), phases: Some(5), ..GaOverrides::default() };
+        let cfg = big.resolve(hanoi10).unwrap();
+        assert_eq!((cfg.population_size, cfg.max_len), (400, 5115));
     }
 
     #[test]

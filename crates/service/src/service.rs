@@ -11,8 +11,8 @@
 //! to use rayon; the service itself uses only std threads and channels.
 //!
 //! Self-healing: each job runs under `catch_unwind`, so a panicking
-//! decode/domain yields an `Error` response (after the configured number of
-//! retries) instead of a dead worker. If a panic does escape — e.g. a
+//! decode/domain yields an `Error` response (after one retry) instead of a
+//! dead worker. If a panic does escape — e.g. a
 //! worker-killing chaos job — a reply guard still answers the client while
 //! the thread dies, and a supervisor thread respawns the worker. Every
 //! fault is counted in [`Metrics`] and visible via [`PlanService::metrics`].
@@ -76,11 +76,6 @@ pub struct ServiceConfig {
     /// behavior: a full queue rejects immediately with
     /// [`SubmitError::QueueFull`].
     pub admission_timeout: Duration,
-    /// How many times a *panicking* job is re-attempted before it is
-    /// answered with an `Error` response. Retrying is cheap insurance
-    /// against transient poisoning; deterministic panics just fail
-    /// `max_job_retries + 1` times.
-    pub max_job_retries: u32,
     /// Trace subscriber installed on every worker thread (and the serve
     /// loop). `None` (the default) disables tracing entirely: every
     /// instrumentation site reduces to one thread-local flag check.
@@ -98,7 +93,6 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             cache_capacity: 128,
             admission_timeout: Duration::ZERO,
-            max_job_retries: 1,
             obs: None,
             overload: OverloadConfig::default(),
         }
@@ -193,6 +187,11 @@ impl Job {
     }
 }
 
+/// How many times a *panicking* job is re-attempted before it is answered
+/// with an `Error` response. Retrying is cheap insurance against transient
+/// poisoning; deterministic panics just fail twice.
+const MAX_JOB_RETRIES: u32 = 1;
+
 /// Upper bound on distinct problems with pooled successor caches. Beyond
 /// it the pool drops the whole map — crude, but the caches are pure
 /// optimization and rebuild in one run. Only problems seen at least twice
@@ -239,8 +238,6 @@ struct Shared {
     /// Set (before the queue closes) when the service is shutting down, so
     /// the supervisor stops respawning workers that exit on purpose.
     shutting_down: AtomicBool,
-    /// Panic retries per job.
-    max_job_retries: u32,
     /// Trace subscriber workers install on their threads.
     obs: Option<ObsHandle>,
     /// Overload controllers (deadline admission, CoDel, brownout).
@@ -303,7 +300,6 @@ impl PlanService {
             metrics: Arc::new(Metrics::new()),
             active: Mutex::new(FxHashMap::default()),
             shutting_down: AtomicBool::new(false),
-            max_job_retries: cfg.max_job_retries,
             obs: cfg.obs.clone(),
             overload: OverloadControl::new(cfg.overload.clone(), workers),
         });
@@ -661,7 +657,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
             response.wall_ms = job.wall_ms();
             shared.metrics.on_complete(response.wall_ms, false);
         } else {
-            for attempt in 0..=shared.max_job_retries {
+            for attempt in 0..=MAX_JOB_RETRIES {
                 match catch_unwind(AssertUnwindSafe(|| run_job(&job, shared, attempt))) {
                     Ok(resp) => {
                         response = resp;
@@ -669,7 +665,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
                     }
                     Err(payload) => {
                         shared.metrics.inc(Metric::PanicsCaught);
-                        if attempt < shared.max_job_retries {
+                        if attempt < MAX_JOB_RETRIES {
                             shared.metrics.inc(Metric::JobsRetried);
                             continue;
                         }
@@ -719,23 +715,28 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
+/// The `Error` reply for a job whose problem or overrides are rejected.
+fn failed_job(job: &Job, shared: &Shared, msg: String) -> PlanResponse {
+    shared.metrics.inc(Metric::JobsErrored);
+    let mut resp = PlanResponse::failure(job.id, JobStatus::Error, msg);
+    resp.wall_ms = job.wall_ms();
+    resp
+}
+
 fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
     let (built, cfg) = match &job.problem {
         JobProblem::Spec(spec) => match spec.build_with(Some(&shared.metrics)) {
             Ok(built) => {
                 let defaults = built.default_config();
-                let cfg = match &job.overrides {
-                    Some(ov) => ov.apply(defaults),
-                    None => defaults,
-                };
-                (built, cfg)
+                match &job.overrides {
+                    Some(ov) => match ov.resolve(defaults) {
+                        Ok(cfg) => (built, cfg),
+                        Err(msg) => return failed_job(job, shared, msg),
+                    },
+                    None => (built, defaults),
+                }
             }
-            Err(msg) => {
-                shared.metrics.inc(Metric::JobsErrored);
-                let mut resp = PlanResponse::failure(job.id, JobStatus::Error, msg);
-                resp.wall_ms = job.wall_ms();
-                return resp;
-            }
+            Err(msg) => return failed_job(job, shared, msg),
         },
         JobProblem::Grid(world, cfg) => (crate::request::BuiltProblem::Grid(world.clone()), cfg.as_ref().clone()),
     };
@@ -1030,6 +1031,22 @@ mod tests {
     }
 
     #[test]
+    fn oversized_overrides_answer_error_naming_the_limit() {
+        let (service, responses) =
+            PlanService::start(ServiceConfig { workers: 1, ..ServiceConfig::default() }).unwrap();
+        let mut endless = tiny_request(1);
+        endless.ga = Some(GaOverrides { generations: Some(u32::MAX), phases: Some(5), ..GaOverrides::default() });
+        endless.deadline_ms = Some(200);
+        service.submit(endless).unwrap();
+        let resp = responses.recv().unwrap();
+        assert_eq!(resp.status, JobStatus::Error, "{resp:?}");
+        assert!(resp.error.as_deref().unwrap_or("").contains("the limit is"), "{resp:?}");
+        assert_eq!(resp.total_generations, 0, "a refused job must not run");
+        assert_eq!(service.metrics()[Metric::JobsErrored], 1);
+        service.shutdown();
+    }
+
+    #[test]
     fn unknown_cancel_id_reports_not_found() {
         let (service, _responses) = PlanService::start(ServiceConfig::default()).unwrap();
         assert!(!service.cancel(999));
@@ -1046,7 +1063,6 @@ mod tests {
             workers: 1,
             queue_capacity: 8,
             cache_capacity: 8,
-            max_job_retries: 1,
             ..ServiceConfig::default()
         })
         .unwrap();
@@ -1075,7 +1091,6 @@ mod tests {
             workers: 1,
             queue_capacity: 8,
             cache_capacity: 8,
-            max_job_retries: 2,
             ..ServiceConfig::default()
         })
         .unwrap();
@@ -1228,7 +1243,9 @@ mod tests {
             workers: 1,
             queue_capacity: 8,
             cache_capacity: 0,
-            overload: OverloadConfig { deadline_admission: true, ..OverloadConfig::default() },
+            // Deadline admission on; a target no sojourn here reaches keeps
+            // CoDel from shedding.
+            overload: OverloadConfig { codel_target_ms: 60_000, ..OverloadConfig::default() },
             ..ServiceConfig::default()
         })
         .unwrap();
@@ -1265,7 +1282,7 @@ mod tests {
             workers: 1,
             queue_capacity: 64,
             cache_capacity: 0,
-            overload: OverloadConfig { codel_target_ms: 1, codel_interval_ms: 10, ..OverloadConfig::default() },
+            overload: OverloadConfig { codel_target_ms: 1, ..OverloadConfig::default() },
             ..ServiceConfig::default()
         })
         .unwrap();
@@ -1300,12 +1317,8 @@ mod tests {
             workers: 1,
             queue_capacity: 64,
             cache_capacity: 64,
-            overload: OverloadConfig {
-                brownout_floor: 0.25,
-                brownout_enter_ms: 5,
-                brownout_exit_ms: 1,
-                ..OverloadConfig::default()
-            },
+            // Brownout only (no CoDel target), at the 50 / 12 ms thresholds.
+            overload: OverloadConfig { brownout_floor: 0.25, ..OverloadConfig::default() },
             ..ServiceConfig::default()
         })
         .unwrap();

@@ -315,7 +315,8 @@ mod tests {
         JobJournal::new(Arc::clone(&storage)).record_submit_for(9, &request).unwrap();
         let cfg = ServiceConfig {
             workers: 1,
-            overload: OverloadConfig { deadline_admission: true, ..OverloadConfig::default() },
+            // Any CoDel target turns deadline admission on.
+            overload: OverloadConfig { codel_target_ms: 50, ..OverloadConfig::default() },
             ..ServiceConfig::default()
         };
         let host = SessionHost::start(cfg, Some(JobJournal::new(storage)), true).unwrap();

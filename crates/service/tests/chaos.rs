@@ -84,13 +84,12 @@ fn chaos_killed_worker_is_respawned_and_the_session_continues() {
 
 #[test]
 fn chaos_transient_panics_are_retried_to_success_in_process() {
-    // In-process (no wire): a job that panics once but has two retries
-    // budgeted completes, and the metrics account for the turbulence.
+    // In-process (no wire): a job that panics once completes on its one
+    // retry, and the metrics account for the turbulence.
     let (service, responses) = PlanService::start(ServiceConfig {
         workers: 1,
         queue_capacity: 4,
         cache_capacity: 4,
-        max_job_retries: 2,
         ..ServiceConfig::default()
     })
     .unwrap();
@@ -104,7 +103,7 @@ fn chaos_transient_panics_are_retried_to_success_in_process() {
         .unwrap();
     let resp = responses.recv_timeout(Duration::from_secs(10)).expect("job answers");
     assert_eq!(resp.id, 7);
-    assert!(resp.solved, "one panic, two retries: the job must succeed: {resp:?}");
+    assert!(resp.solved, "one panic, one retry: the job must succeed: {resp:?}");
     let m = service.metrics();
     assert_eq!(m[Metric::PanicsCaught], 1, "{m:?}");
     assert_eq!(m[Metric::JobsRetried], 1, "{m:?}");
@@ -144,7 +143,6 @@ fn chaos_every_response_status_has_a_matching_reply_event() {
         workers: 1,
         queue_capacity: 8,
         cache_capacity: 0,
-        max_job_retries: 0,
         obs: Some(ObsHandle::new(Arc::new(obs::JsonlSink::new(sink.clone())))),
         ..ServiceConfig::default()
     };

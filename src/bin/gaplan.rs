@@ -12,11 +12,9 @@
 //! gaplan hanoi  [<disks>] [--disks N] [--single] [--seed N]
 //! gaplan tile   <side>  [--crossover random|state-aware|mixed] [--seed N]
 //! gaplan serve  [--workers N] [--queue N] [--cache N]
-//!               [--admission-ms N] [--job-retries N] [--journal DIR]
+//!               [--admission-ms N] [--journal DIR]
 //!               [--listen HOST:PORT] [--max-frame BYTES] [--no-coalesce]
-//!               [--backlog N] [--idle-ms N]
-//!               [--target-ms N] [--codel-interval-ms N] [--brownout F]
-//!               [--brownout-enter-ms N] [--brownout-exit-ms N]
+//!               [--backlog N] [--idle-ms N] [--target-ms N] [--brownout F]
 //! gaplan loadgen --addr HOST:PORT [--jobs N] [--conns N] [--inflight N]
 //!               [--keys N] [--skew F] [--deadline-ms N] [--seed N]
 //!               [--rate R] [--burst B] [--shutdown-after] [--out FILE]
@@ -32,9 +30,13 @@
 //!
 //! Overload control (see DESIGN.md §12): `--target-ms N` enables the
 //! CoDel-style controlled-delay queue (head shedding when sojourn stays
-//! above N ms) *and* deadline-aware admission; `--brownout F` (0 < F < 1)
-//! enables anytime GA brownout with budget floor F — under queue pressure
-//! jobs run a scaled-down GA and replies carry `"degraded":true`.
+//! above N ms for a 100 ms interval) *and* deadline-aware admission;
+//! `--brownout F` (0 < F < 1) enables anytime GA brownout with budget floor
+//! F — once the queue-wait average reaches 2N ms (50 ms without a target)
+//! jobs run a scaled-down GA and replies carry `"degraded":true`, until it
+//! falls below N/2 ms (12 ms). Every other threshold derives from these
+//! two flags. Unknown `serve` flags and unparsable flag values are usage
+//! errors.
 //! `--idle-ms N` reaps TCP connections idle longer than N ms (slowloris
 //! defense; 0 disables). `loadgen --rate R` switches from closed-loop to
 //! open-loop (paced arrivals at R jobs/s overall, bursts of B), reporting
@@ -128,39 +130,52 @@ fn install_trace(args: &[String]) -> Option<obs::InstallGuard> {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage:\n  gaplan strips <file> [--planner ga|bfs|graphplan|forward|backward|hsp2] [--seed N] [--pop N] [--gens N] [--phases N]\n  gaplan solve --domain FILE --problem FILE [--planner ...] [GA flags]    (typed DSL → ground STRIPS → plan)\n  gaplan check --domain FILE [--problem FILE] [--print]    (parse/typecheck/ground only; exit 1 on errors)\n  gaplan grid <file> [--planner ga|greedy] [--simulate] [--overload SITE:TIME:LOAD] [--faults SEED] [--fault-rate F]\n  gaplan hanoi [<disks>] [--disks N] [--single] [--seed N]\n  gaplan tile <side> [--crossover random|state-aware|mixed] [--seed N]\n  gaplan serve [--workers N] [--queue N] [--cache N] [--admission-ms N] [--job-retries N] [--journal DIR]    (JSON lines on stdin/stdout)\n               [--listen HOST:PORT] [--max-frame BYTES] [--no-coalesce] [--backlog N] [--idle-ms N]    (same protocol over TCP)\n               [--target-ms N] [--codel-interval-ms N] [--brownout F] [--brownout-enter-ms N] [--brownout-exit-ms N]    (overload control)\n  gaplan loadgen --addr HOST:PORT [--jobs N] [--conns N] [--inflight N] [--keys N] [--skew F] [--deadline-ms N] [--seed N] [--rate R] [--burst B] [--shutdown-after] [--out FILE] [--domain FILE --problem FILE]\n                 [--retry] [--hedge | --hedge-ms N] [--proxy HOST:PORT | --chaos [chaos flags]]    (resilient client / fault injection)\n  gaplan chaosproxy --upstream HOST:PORT [--listen HOST:PORT] [chaos flags]    (standalone fault-injecting proxy)\n    chaos flags: [--chaos-seed N] [--chaos-resets F] [--chaos-cuts F] [--chaos-refuse F] [--chaos-latency-ms N] [--chaos-jitter-ms N] [--chaos-partial F] [--chaos-throttle BYTES_PER_SEC]\n  gaplan trace-report <file> [--top K]\nevery planning command also accepts --trace FILE (JSON-lines event trace)\nGA commands also accept --checkpoint FILE [--checkpoint-gens N] (crash-safe snapshot/resume),\n--islands K [--migrate-every M] [--emigrants E] (island-model GA with deterministic ring migration),\n--no-succ-cache (disable the successor cache; identical plans, slower decode)\nand --succ-cache N (successor-cache capacity in entries, default 65536)"
+        "usage:\n  gaplan strips <file> [--planner ga|bfs|graphplan|forward|backward|hsp2] [--seed N] [--pop N] [--gens N] [--phases N]\n  gaplan solve --domain FILE --problem FILE [--planner ...] [GA flags]    (typed DSL → ground STRIPS → plan)\n  gaplan check --domain FILE [--problem FILE] [--print]    (parse/typecheck/ground only; exit 1 on errors)\n  gaplan grid <file> [--planner ga|greedy] [--simulate] [--overload SITE:TIME:LOAD] [--faults SEED] [--fault-rate F]\n  gaplan hanoi [<disks>] [--disks N] [--single] [--seed N]\n  gaplan tile <side> [--crossover random|state-aware|mixed] [--seed N]\n  gaplan serve [--workers N] [--queue N] [--cache N] [--admission-ms N] [--journal DIR]    (JSON lines on stdin/stdout)\n               [--listen HOST:PORT] [--max-frame BYTES] [--no-coalesce] [--backlog N] [--idle-ms N]    (same protocol over TCP)\n               [--target-ms N] [--brownout F]    (overload control: CoDel + deadline admission at N ms, GA brownout floor F)\n  gaplan loadgen --addr HOST:PORT [--jobs N] [--conns N] [--inflight N] [--keys N] [--skew F] [--deadline-ms N] [--seed N] [--rate R] [--burst B] [--shutdown-after] [--out FILE] [--domain FILE --problem FILE]\n                 [--retry] [--hedge | --hedge-ms N] [--proxy HOST:PORT | --chaos [chaos flags]]    (resilient client / fault injection)\n  gaplan chaosproxy --upstream HOST:PORT [--listen HOST:PORT] [chaos flags]    (standalone fault-injecting proxy)\n    chaos flags: [--chaos-seed N] [--chaos-resets F] [--chaos-cuts F] [--chaos-refuse F] [--chaos-latency-ms N] [--chaos-jitter-ms N] [--chaos-partial F] [--chaos-throttle BYTES_PER_SEC]\n  gaplan trace-report <file> [--top K]\nevery planning command also accepts --trace FILE (JSON-lines event trace)\nGA commands also accept --checkpoint FILE [--checkpoint-gens N] (crash-safe snapshot/resume),\n--islands K [--migrate-every M] [--emigrants E] (island-model GA with deterministic ring migration),\n--no-succ-cache (disable the successor cache; identical plans, slower decode)\nand --succ-cache N (successor-cache capacity in entries, default 65536)"
     );
     exit(2);
 }
 
+/// The argument after flag `name`, if the flag is given; a flag given as
+/// the last argument, without its value, is a usage error.
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1) {
+        Some(v) => Some(v),
+        None => usage(&format!("{name} needs a value")),
+    }
 }
 
 fn flag_present(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn parse_or<T: std::str::FromStr>(v: Option<&str>, default: T) -> T {
-    v.and_then(|s| s.parse().ok()).unwrap_or(default)
+/// Parse `v`, the value given for `what`; an unparsable value is a usage
+/// error, never a silent default.
+fn parse_arg<T: std::str::FromStr>(what: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| usage(&format!("invalid value `{v}` for {what}")))
+}
+
+/// The parsed value of flag `name`, or `default` when the flag is absent.
+fn flag_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    flag_value(args, name).map_or(default, |v| parse_arg(name, v))
 }
 
 fn ga_config_from_flags(args: &[String], initial_len: usize) -> GaConfig {
     let defaults = GaConfig::default();
     let cfg = GaConfig {
-        population_size: parse_or(flag_value(args, "--pop"), 200),
-        generations_per_phase: parse_or(flag_value(args, "--gens"), 100),
-        max_phases: parse_or(flag_value(args, "--phases"), 5),
+        population_size: flag_or(args, "--pop", 200),
+        generations_per_phase: flag_or(args, "--gens", 100),
+        max_phases: flag_or(args, "--phases", 5),
         initial_len,
         max_len: 5 * initial_len,
-        seed: parse_or(flag_value(args, "--seed"), 2003),
+        seed: flag_or(args, "--seed", 2003),
         succ_cache: !flag_present(args, "--no-succ-cache"),
-        succ_cache_capacity: parse_or(flag_value(args, "--succ-cache"), defaults.succ_cache_capacity),
+        succ_cache_capacity: flag_or(args, "--succ-cache", defaults.succ_cache_capacity),
         // Island model: `--islands 1` (the default) is byte-identical to a
         // run without any island flags.
-        islands: parse_or(flag_value(args, "--islands"), defaults.islands),
-        migration_interval: parse_or(flag_value(args, "--migrate-every"), defaults.migration_interval),
-        emigrants: parse_or(flag_value(args, "--emigrants"), defaults.emigrants),
+        islands: flag_or(args, "--islands", defaults.islands),
+        migration_interval: flag_or(args, "--migrate-every", defaults.migration_interval),
+        emigrants: flag_or(args, "--emigrants", defaults.emigrants),
         ..defaults
     };
     if let Err(e) = cfg.validate() {
@@ -183,7 +198,7 @@ fn run_with_checkpoint<D: Domain>(
     let Some(path) = flag_value(args, "--checkpoint") else {
         return MultiPhase::new(domain, cfg).run();
     };
-    let every: u32 = parse_or(flag_value(args, "--checkpoint-gens"), 0);
+    let every: u32 = flag_or(args, "--checkpoint-gens", 0);
     let path = std::path::Path::new(path);
     let dir = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
@@ -461,15 +476,15 @@ fn grid_cmd(args: &[String]) {
                 .unwrap_or_else(|| usage(&format!("unknown site `{}`", parts[0])));
             coord
                 .schedule(ExternalEvent::LoadChange {
-                    time: parse_or(Some(parts[1]), 0.0),
+                    time: parse_arg("--overload TIME", parts[1]),
                     site: ga_grid_planner::grid::SiteId(site as u32),
-                    load: parse_or(Some(parts[2]), 0.9),
+                    load: parse_arg("--overload LOAD", parts[2]),
                 })
                 .policy(ReplanPolicy::OnLoadChange);
         }
         if let Some(fseed) = flag_value(args, "--faults") {
-            let fseed: u64 = parse_or(Some(fseed), 7);
-            let rate: f64 = parse_or(flag_value(args, "--fault-rate"), 0.05);
+            let fseed: u64 = parse_arg("--faults", fseed);
+            let rate: f64 = flag_or(args, "--fault-rate", 0.05);
             let horizon = (graph.critical_path() * 2.0).max(10.0);
             let events = chaos_schedule(&world, fseed, horizon);
             println!("fault schedule (seed {fseed}, rate {rate}):");
@@ -489,7 +504,7 @@ fn grid_cmd(args: &[String]) {
             }
             coord.fault_plan(FaultPlan::new(fseed, rate)).policy(ReplanPolicy::OnAnyChange);
         }
-        let seed = parse_or(flag_value(args, "--seed"), 2003);
+        let seed = flag_or(args, "--seed", 2003);
         // Replans go through the planning service: queued, budgeted, cached.
         let (service, _responses) = PlanService::start(ServiceConfig {
             workers: 1,
@@ -548,41 +563,43 @@ fn grid_cmd(args: &[String]) {
     }
 }
 
-/// Build the overload-control config from `serve` flags.
-///
-/// `--target-ms N` (N > 0) is the single opt-in switch: it enables the
-/// CoDel queue controller at that sojourn target *and* deadline-aware
-/// admission, and derives brownout hysteresis thresholds (enter = 2×target,
-/// exit = target/2) so `--brownout F` composes without extra flags.
-/// Everything stays off by default, preserving pre-overload behavior.
-fn overload_config_from_flags(args: &[String]) -> OverloadConfig {
-    let defaults = OverloadConfig::default();
-    let target_ms: u64 = parse_or(flag_value(args, "--target-ms"), 0);
-    let brownout: f64 = parse_or(flag_value(args, "--brownout"), 1.0);
+/// Flags `serve` takes a value for; `--no-coalesce` is its one boolean
+/// flag. Anything else is a usage error, so a mistyped or retired flag
+/// never silently runs a different policy.
+const SERVE_VALUE_FLAGS: &[&str] = &[
+    "--workers",
+    "--queue",
+    "--cache",
+    "--admission-ms",
+    "--journal",
+    "--listen",
+    "--max-frame",
+    "--backlog",
+    "--idle-ms",
+    "--target-ms",
+    "--brownout",
+    "--trace",
+];
+
+fn serve_cmd(args: &[String]) {
+    let mut rest = args;
+    while let Some((flag, tail)) = rest.split_first() {
+        rest = match flag.as_str() {
+            "--no-coalesce" => tail,
+            f if SERVE_VALUE_FLAGS.contains(&f) => tail.get(1..).unwrap_or_default(),
+            f => usage(&format!("unknown serve flag `{f}`")),
+        };
+    }
+    let brownout: f64 = flag_or(args, "--brownout", 1.0);
     if !(0.0..=1.0).contains(&brownout) {
         usage("--brownout F must be in [0, 1] (0 or 1 disables brownout)");
     }
-    let enter_default = if target_ms > 0 { target_ms * 2 } else { defaults.brownout_enter_ms };
-    let exit_default = if target_ms > 0 { (target_ms / 2).max(1) } else { defaults.brownout_exit_ms };
-    OverloadConfig {
-        codel_target_ms: target_ms,
-        codel_interval_ms: parse_or(flag_value(args, "--codel-interval-ms"), defaults.codel_interval_ms),
-        deadline_admission: target_ms > 0,
-        // 0.0 and 1.0 both mean "off" (brownout_enabled() needs floor in (0,1)).
-        brownout_floor: if brownout == 0.0 { 1.0 } else { brownout },
-        brownout_enter_ms: parse_or(flag_value(args, "--brownout-enter-ms"), enter_default),
-        brownout_exit_ms: parse_or(flag_value(args, "--brownout-exit-ms"), exit_default),
-    }
-}
-
-fn serve_cmd(args: &[String]) {
     let cfg = ServiceConfig {
-        workers: parse_or(flag_value(args, "--workers"), 2),
-        queue_capacity: parse_or(flag_value(args, "--queue"), 64),
-        cache_capacity: parse_or(flag_value(args, "--cache"), 128),
-        admission_timeout: std::time::Duration::from_millis(parse_or(flag_value(args, "--admission-ms"), 0)),
-        max_job_retries: parse_or(flag_value(args, "--job-retries"), 1),
-        overload: overload_config_from_flags(args),
+        workers: flag_or(args, "--workers", 2),
+        queue_capacity: flag_or(args, "--queue", 64),
+        cache_capacity: flag_or(args, "--cache", 128),
+        admission_timeout: std::time::Duration::from_millis(flag_or(args, "--admission-ms", 0)),
+        overload: OverloadConfig { codel_target_ms: flag_or(args, "--target-ms", 0), brownout_floor: brownout },
         obs: trace_handle(args),
     };
     let journal = flag_value(args, "--journal").map(|dir| {
@@ -593,11 +610,11 @@ fn serve_cmd(args: &[String]) {
         JobJournal::new(storage)
     });
     if let Some(addr) = flag_value(args, "--listen") {
-        let idle_ms: u64 = parse_or(flag_value(args, "--idle-ms"), 300_000);
+        let idle_ms: u64 = flag_or(args, "--idle-ms", 300_000);
         let opts = NetOptions {
-            max_frame: parse_or(flag_value(args, "--max-frame"), gaplan_net::DEFAULT_MAX_FRAME),
+            max_frame: flag_or(args, "--max-frame", gaplan_net::DEFAULT_MAX_FRAME),
             coalesce: !flag_present(args, "--no-coalesce"),
-            backlog_limit: parse_or(flag_value(args, "--backlog"), 1024),
+            backlog_limit: flag_or(args, "--backlog", 1024),
             idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms)),
         };
         let server = TcpServer::bind(cfg, journal, opts, addr).unwrap_or_else(|e| {
@@ -624,15 +641,15 @@ fn loadgen_cmd(args: &[String]) {
     let Some(addr) = flag_value(args, "--addr") else { usage("loadgen needs --addr HOST:PORT") };
     let cfg = LoadgenConfig {
         addr: addr.to_string(),
-        jobs: parse_or(flag_value(args, "--jobs"), 100_000),
-        conns: parse_or(flag_value(args, "--conns"), 8),
-        inflight: parse_or(flag_value(args, "--inflight"), 32),
-        key_space: parse_or(flag_value(args, "--keys"), 64),
-        skew: parse_or(flag_value(args, "--skew"), 0.5),
-        deadline_ms: flag_value(args, "--deadline-ms").map(|v| parse_or(Some(v), 0)),
-        seed: parse_or(flag_value(args, "--seed"), 42),
-        rate: flag_value(args, "--rate").and_then(|v| v.parse::<f64>().ok()).filter(|r| *r > 0.0),
-        burst: parse_or(flag_value(args, "--burst"), 1),
+        jobs: flag_or(args, "--jobs", 100_000),
+        conns: flag_or(args, "--conns", 8),
+        inflight: flag_or(args, "--inflight", 32),
+        key_space: flag_or(args, "--keys", 64),
+        skew: flag_or(args, "--skew", 0.5),
+        deadline_ms: flag_value(args, "--deadline-ms").map(|v| parse_arg("--deadline-ms", v)),
+        seed: flag_or(args, "--seed", 42),
+        rate: flag_value(args, "--rate").map(|v| parse_arg::<f64>("--rate", v)).filter(|r| *r > 0.0),
+        burst: flag_or(args, "--burst", 1),
         shutdown_after: flag_present(args, "--shutdown-after"),
         dsl: match (flag_value(args, "--domain"), flag_value(args, "--problem")) {
             (Some(d), Some(p)) => {
@@ -652,7 +669,7 @@ fn loadgen_cmd(args: &[String]) {
         chaos: flag_present(args, "--chaos").then(|| chaos_cfg_from_flags(args, String::new())),
         resilient: flag_present(args, "--retry"),
         hedge: match flag_value(args, "--hedge-ms") {
-            Some(ms) => HedgeMode::After(parse_or(Some(ms), 100)),
+            Some(ms) => HedgeMode::After(parse_arg("--hedge-ms", ms)),
             None if flag_present(args, "--hedge") => HedgeMode::AutoP99 { floor_ms: 10 },
             None => HedgeMode::Off,
         },
@@ -736,14 +753,14 @@ fn loadgen_cmd(args: &[String]) {
 fn chaos_cfg_from_flags(args: &[String], upstream: String) -> ChaosConfig {
     ChaosConfig {
         upstream,
-        seed: parse_or(flag_value(args, "--chaos-seed"), 42),
-        refuse_rate: parse_or(flag_value(args, "--chaos-refuse"), 0.0),
-        reset_rate: parse_or(flag_value(args, "--chaos-resets"), 0.0),
-        cut_rate: parse_or(flag_value(args, "--chaos-cuts"), 0.0),
-        latency_ms: parse_or(flag_value(args, "--chaos-latency-ms"), 0),
-        jitter_ms: parse_or(flag_value(args, "--chaos-jitter-ms"), 0),
-        partial_rate: parse_or(flag_value(args, "--chaos-partial"), 0.0),
-        throttle_bytes_per_sec: flag_value(args, "--chaos-throttle").and_then(|v| v.parse().ok()),
+        seed: flag_or(args, "--chaos-seed", 42),
+        refuse_rate: flag_or(args, "--chaos-refuse", 0.0),
+        reset_rate: flag_or(args, "--chaos-resets", 0.0),
+        cut_rate: flag_or(args, "--chaos-cuts", 0.0),
+        latency_ms: flag_or(args, "--chaos-latency-ms", 0),
+        jitter_ms: flag_or(args, "--chaos-jitter-ms", 0),
+        partial_rate: flag_or(args, "--chaos-partial", 0.0),
+        throttle_bytes_per_sec: flag_value(args, "--chaos-throttle").map(|v| parse_arg("--chaos-throttle", v)),
     }
 }
 
@@ -768,7 +785,7 @@ fn chaosproxy_cmd(args: &[String]) {
 fn hanoi_cmd(args: &[String]) {
     // Disk count: positional (`gaplan hanoi 5`) or `--disks 5`.
     let positional = args.first().filter(|a| !a.starts_with("--")).map(String::as_str);
-    let n: usize = parse_or(flag_value(args, "--disks").or(positional), 5);
+    let n: usize = flag_value(args, "--disks").or(positional).map_or(5, |v| parse_arg("disk count", v));
     let hanoi = Hanoi::new(n);
     let mut cfg = ga_config_from_flags(args, hanoi.optimal_len());
     if flag_present(args, "--single") {
@@ -797,8 +814,9 @@ fn hanoi_cmd(args: &[String]) {
 }
 
 fn tile_cmd(args: &[String]) {
-    let n: usize = parse_or(args.first().map(String::as_str), 3);
-    let seed: u64 = parse_or(flag_value(args, "--seed"), 2003);
+    let positional = args.first().filter(|a| !a.starts_with("--"));
+    let n: usize = positional.map_or(3, |v| parse_arg("tile side", v));
+    let seed: u64 = flag_or(args, "--seed", 2003);
     let crossover = match flag_value(args, "--crossover").unwrap_or("mixed") {
         "random" => CrossoverKind::Random,
         "state-aware" => CrossoverKind::StateAware,
@@ -837,6 +855,6 @@ fn trace_report_cmd(args: &[String]) {
         eprintln!("cannot read {path}: {e}");
         exit(1);
     });
-    let top_k = parse_or(flag_value(args, "--top"), 5);
+    let top_k = flag_or(args, "--top", 5);
     print!("{}", ga_grid_planner::trace_report::render(&text, top_k));
 }

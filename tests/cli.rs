@@ -105,6 +105,32 @@ fn unknown_command_fails_with_usage() {
     assert!(text.contains("usage"), "{text}");
 }
 
+/// Runs `args` and asserts a usage error: exit code 2, stderr naming
+/// `needle` and showing the usage text.
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let out = gaplan().args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error: {stderr}");
+    assert!(stderr.contains(needle) && stderr.contains("usage"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn unparsable_flag_value_is_a_usage_error() {
+    assert_usage_error(&["serve", "--target-ms", "5O"], "invalid value `5O` for --target-ms");
+    assert_usage_error(&["serve", "--workers", "two"], "invalid value `two` for --workers");
+    assert_usage_error(&["hanoi", "4", "--seed", "x"], "invalid value `x` for --seed");
+    assert_usage_error(&["serve", "--target-ms"], "--target-ms needs a value");
+}
+
+#[test]
+fn unknown_serve_flag_is_a_usage_error() {
+    assert_usage_error(&["serve", "--taget-ms", "50"], "unknown serve flag `--taget-ms`");
+    // Retired flags are refused, not silently ignored.
+    for flag in ["--job-retries", "--codel-interval-ms", "--brownout-enter-ms", "--brownout-exit-ms"] {
+        assert_usage_error(&["serve", "--target-ms", "50", flag, "10"], &format!("unknown serve flag `{flag}`"));
+    }
+}
+
 #[test]
 fn missing_file_fails_cleanly() {
     let (ok, text) = run(&["strips", "data/nonexistent.strips"]);

@@ -50,14 +50,9 @@ fn open_loop_overload_sheds_but_never_loses_or_corrupts() {
         workers: 2,
         queue_capacity: 256,
         cache_capacity: 1,
-        overload: OverloadConfig {
-            codel_target_ms: 25,
-            codel_interval_ms: 100,
-            deadline_admission: true,
-            brownout_floor: 0.25,
-            brownout_enter_ms: 50,
-            brownout_exit_ms: 12,
-        },
+        // CoDel at 25 ms (interval 100 ms), deadline admission, and
+        // brownout at 50 / 12 ms, all derived from the target.
+        overload: OverloadConfig { codel_target_ms: 25, brownout_floor: 0.25 },
         ..ServiceConfig::default()
     };
     let server = TcpServer::bind(cfg, Some(journal_at(&dir)), NetOptions::default(), "127.0.0.1:0").expect("bind");
