@@ -64,13 +64,6 @@ fn reconstruct(parent: &[(usize, OpId)], mut id: usize) -> Vec<OpId> {
     ops
 }
 
-/// BFS distance from the initial state to the goal, if found: used as
-/// ground truth in heuristic admissibility tests.
-pub fn bfs_distance<D: Domain>(domain: &D, limits: SearchLimits) -> Option<usize> {
-    let r = bfs(domain, limits);
-    r.plan_len()
-}
-
 /// BFS over the whole reachable space, recording the distance *from the
 /// initial state* of every state reached within the limits. Used by
 /// diagnostics, admissibility tests and the distance-informed fitness

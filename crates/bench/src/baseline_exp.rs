@@ -10,7 +10,7 @@ use gaplan_baselines::{
 };
 use gaplan_domains::{blocks_world, Hanoi};
 use gaplan_ga::rng::derive_seed;
-use gaplan_ga::{MultiPhase, RunReport};
+use gaplan_ga::RunReport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -172,15 +172,6 @@ fn run_timed<F: FnOnce() -> SearchResult>(f: F) -> (SearchResult, f64) {
     let start = Instant::now();
     let r = f();
     (r, start.elapsed().as_secs_f64())
-}
-
-/// A single GA run on a domain (used by integration tests to cross-check
-/// against baselines).
-pub fn ga_single_run<D: gaplan_core::Domain>(
-    domain: &D,
-    cfg: &gaplan_ga::GaConfig,
-) -> gaplan_ga::MultiPhaseResult<D::State> {
-    MultiPhase::new(domain, cfg.clone()).run()
 }
 
 #[cfg(test)]

@@ -228,12 +228,6 @@ impl<'a> DynDomain<'a> {
     {
         DynDomain { inner: domain }
     }
-
-    /// Wrap an already-erased domain (e.g. one stored as
-    /// `Box<dyn ErasedDomain>` in a runtime problem registry).
-    pub fn from_erased(inner: &'a dyn ErasedDomain) -> Self {
-        DynDomain { inner }
-    }
 }
 
 impl Domain for DynDomain<'_> {

@@ -254,15 +254,6 @@ impl StripsBuilder {
         Ok(id)
     }
 
-    /// Declare a condition if new; either way return its id.
-    pub fn condition_or_existing(&mut self, name: &str) -> CondId {
-        if let Some(&id) = self.index.get(name) {
-            id
-        } else {
-            self.condition(name).expect("checked for existence")
-        }
-    }
-
     fn resolve(&self, names: &[&str]) -> Result<Vec<CondId>> {
         names
             .iter()

@@ -208,12 +208,6 @@ impl PhaseSnapshot {
         self.islands.unwrap_or(1)
     }
 
-    /// The raw RNG state as a fixed-size array (validated to 4 words).
-    /// Single-island accessor; for `K > 1` use [`PhaseSnapshot::rng_states`].
-    pub fn rng_state(&self) -> [u64; 4] {
-        [self.rng[0], self.rng[1], self.rng[2], self.rng[3]]
-    }
-
     /// Per-island RNG states, in island order (validated to `4·K` words).
     pub fn rng_states(&self) -> Vec<[u64; 4]> {
         self.rng.chunks_exact(4).map(|c| [c[0], c[1], c[2], c[3]]).collect()

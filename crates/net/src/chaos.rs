@@ -7,7 +7,7 @@
 //! byte-level partial writes, and mid-frame cuts (a prefix of a chunk is
 //! forwarded, then the connection dies). Every toxic keeps its own counter
 //! in [`ProxyStats`], snapshotted into a serializable
-//! [`ProxyStatsSnapshot`] and rendered by [`ChaosProxy::stats_line`].
+//! [`ProxyStatsSnapshot`], whose `Display` is the proxy's one-line summary.
 //!
 //! Determinism: the k-th accepted connection draws all its fault decisions
 //! from an RNG seeded by `(seed, k, direction)`, so a fixed seed yields a
@@ -18,6 +18,7 @@
 //! duplicated answers, plans byte-identical to a fault-free run) is that
 //! the fault *rates* are fixed by the seed.
 
+use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -108,8 +109,8 @@ impl ProxyStats {
     }
 }
 
-/// Serializable point-in-time view of [`ProxyStats`], embedded in
-/// `BENCH_chaos.json` when the loadgen runs its proxy in-process.
+/// Serializable point-in-time view of [`ProxyStats`], nested in the
+/// loadgen report as `proxy` when the loadgen runs its proxy in-process.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProxyStatsSnapshot {
     /// Connections accepted (including refused ones).
@@ -132,6 +133,26 @@ pub struct ProxyStatsSnapshot {
     pub bytes_up: u64,
     /// Bytes forwarded upstream → client.
     pub bytes_down: u64,
+}
+
+impl fmt::Display for ProxyStatsSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "chaosproxy: conns {} refused {} resets {} cuts {} delays {} ({} ms) \
+             partial {} throttled {} bytes up {} down {}",
+            self.conns,
+            self.refused,
+            self.resets,
+            self.cuts,
+            self.delays,
+            self.delay_ms_total,
+            self.partial_writes,
+            self.throttle_sleeps,
+            self.bytes_up,
+            self.bytes_down
+        )
+    }
 }
 
 impl ProxyStatsSnapshot {
@@ -220,25 +241,6 @@ impl ChaosProxy {
     /// Point-in-time per-toxic counters.
     pub fn stats(&self) -> ProxyStatsSnapshot {
         self.stats.snapshot()
-    }
-
-    /// One-line human-readable stats summary (the proxy's own stats line).
-    pub fn stats_line(&self) -> String {
-        let s = self.stats();
-        format!(
-            "chaosproxy: conns {} refused {} resets {} cuts {} delays {} ({} ms) \
-             partial {} throttled {} bytes up {} down {}",
-            s.conns,
-            s.refused,
-            s.resets,
-            s.cuts,
-            s.delays,
-            s.delay_ms_total,
-            s.partial_writes,
-            s.throttle_sleeps,
-            s.bytes_up,
-            s.bytes_down
-        )
     }
 
     /// Stop accepting, kill every forwarded connection, join the threads.

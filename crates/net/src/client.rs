@@ -38,9 +38,9 @@ use std::time::{Duration, Instant};
 
 use gaplan_obs::Histogram;
 use serde::json::{parse, Value};
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 
-use crate::codec::{Frame, FrameReader, DEFAULT_MAX_FRAME};
+use crate::codec::{Frame, FrameError, FrameReader, DEFAULT_MAX_FRAME};
 
 /// Exponential backoff with deterministic, seeded jitter.
 ///
@@ -220,7 +220,7 @@ impl Default for ClientConfig {
 }
 
 /// Counters a [`ResilientClient`] accumulates; all start at zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClientStats {
     /// Pending requests resubmitted after a reconnect.
     pub retries: u64,
@@ -236,11 +236,16 @@ pub struct ClientStats {
     pub breaker_rejections: u64,
     /// Reply lines that matched no pending or hedged request id.
     pub duplicates: u64,
+    /// Reply frames that were not a JSON object with an id, or exceeded
+    /// the frame size limit.
+    pub bad_frames: u64,
 }
 
-/// What one reader thread feeds back: a decoded frame or its epoch's death.
+/// What one reader thread feeds back: a parsed reply, an undecodable or
+/// oversized frame, or its epoch's death.
 enum Pipe {
-    Line(u64, String),
+    Line(u64, Value),
+    Bad,
     Closed(u64),
 }
 
@@ -278,7 +283,7 @@ pub struct ResilientClient {
     echoes: HashMap<u64, u64>,
     /// Replies resolved while draining a dead connection during reconnect;
     /// owed to the caller before anything new is read off the pipe.
-    ready: VecDeque<(u64, String)>,
+    ready: VecDeque<(u64, Value)>,
     reply_latency_us: Histogram,
     reply_samples: u64,
     stats: ClientStats,
@@ -347,11 +352,11 @@ impl ResilientClient {
     }
 
     /// Wait up to `timeout` for the next reply owed to the caller.
-    /// Returns `Ok(Some((id, line)))` for each pending request exactly
-    /// once, `Ok(None)` on timeout, and `Err` only when reconnecting
-    /// failed `max_reconnect_attempts` times in a row. Hedge submission
-    /// and duplicate swallowing happen inside.
-    pub fn next_reply(&mut self, timeout: Duration) -> io::Result<Option<(u64, String)>> {
+    /// Returns `Ok(Some((id, reply)))`, the reply parsed, for each pending
+    /// request exactly once, `Ok(None)` on timeout, and `Err` only when
+    /// reconnecting failed `max_reconnect_attempts` times in a row. Hedge
+    /// submission and duplicate swallowing happen inside.
+    pub fn next_reply(&mut self, timeout: Duration) -> io::Result<Option<(u64, Value)>> {
         let deadline = Instant::now() + timeout;
         loop {
             // Replies settled while draining a dead connection come first.
@@ -365,11 +370,12 @@ impl ResilientClient {
             }
             let slice = (deadline - now).min(Duration::from_millis(20));
             match self.rx.recv_timeout(slice) {
-                Ok(Pipe::Line(epoch, line)) => {
-                    if let Some(resolved) = self.route_line(epoch, &line) {
+                Ok(Pipe::Line(epoch, reply)) => {
+                    if let Some(resolved) = self.route_reply(epoch, reply) {
                         return Ok(Some(resolved));
                     }
                 }
+                Ok(Pipe::Bad) => self.stats.bad_frames += 1,
                 Ok(Pipe::Closed(epoch)) => self.handle_closed(epoch)?,
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
@@ -382,7 +388,7 @@ impl ResilientClient {
     /// Blocking request/response convenience: submit and wait for this
     /// id's reply (other ids received meanwhile error — `call` is for
     /// callers that keep one request in flight, like a remote replanner).
-    pub fn call(&mut self, id: u64, line: &str, timeout: Duration) -> io::Result<String> {
+    pub fn call(&mut self, id: u64, line: &str, timeout: Duration) -> io::Result<Value> {
         self.submit(id, line)?;
         let deadline = Instant::now() + timeout;
         loop {
@@ -403,12 +409,12 @@ impl ResilientClient {
         }
     }
 
-    /// Route one decoded line: the owed reply (returned), a hedge echo
+    /// Route one parsed reply: the owed reply (returned), a hedge echo
     /// (swallowed), or a true duplicate (counted).
-    fn route_line(&mut self, epoch: u64, line: &str) -> Option<(u64, String)> {
-        let Some(id) = line_id(line) else {
-            // Unattributable line: count it, nothing else to do.
-            self.stats.duplicates += 1;
+    fn route_reply(&mut self, epoch: u64, reply: Value) -> Option<(u64, Value)> {
+        let Some(id) = reply.get("id").and_then(|v| u64::deserialize_json(v).ok()) else {
+            // Unattributable reply: count it, nothing else to do.
+            self.stats.bad_frames += 1;
             return None;
         };
         if let Some(req) = self.pending.remove(&id) {
@@ -427,7 +433,7 @@ impl ResilientClient {
                 }
                 self.close_hedge();
             }
-            return Some((id, line.to_string()));
+            return Some((id, reply));
         }
         if self.echoes.get(&id) == Some(&epoch) {
             self.echoes.remove(&id);
@@ -437,19 +443,22 @@ impl ResilientClient {
         None
     }
 
-    /// A reader thread reported its connection dead.
-    fn handle_closed(&mut self, epoch: u64) -> io::Result<()> {
+    /// Forget a dead connection's expected echoes. If it was the hedge
+    /// conn, its request is still pending on the primary, so just clear the
+    /// slot (and the hedged flag so the request is eligible to hedge again).
+    fn forget_conn(&mut self, epoch: u64) {
         self.echoes.retain(|_, e| *e != epoch);
         if self.hedge.as_ref().is_some_and(|h| h.epoch == epoch) {
-            // Hedge conn died; its request is still pending on the
-            // primary, so just clear the slot (and the hedged flag so the
-            // request is eligible to hedge again).
             self.hedge = None;
             for req in self.pending.values_mut() {
                 req.hedged = false;
             }
-            return Ok(());
         }
+    }
+
+    /// A reader thread reported its connection dead.
+    fn handle_closed(&mut self, epoch: u64) -> io::Result<()> {
+        self.forget_conn(epoch);
         if epoch == self.primary_epoch {
             // Closed is the reader's final message, so every line the dead
             // connection delivered has already been routed: no drain here.
@@ -549,19 +558,14 @@ impl ResilientClient {
                 return;
             }
             match self.rx.recv_timeout((deadline - now).min(Duration::from_millis(50))) {
-                Ok(Pipe::Line(epoch, line)) => {
-                    if let Some(resolved) = self.route_line(epoch, &line) {
+                Ok(Pipe::Line(epoch, reply)) => {
+                    if let Some(resolved) = self.route_reply(epoch, reply) {
                         self.ready.push_back(resolved);
                     }
                 }
+                Ok(Pipe::Bad) => self.stats.bad_frames += 1,
                 Ok(Pipe::Closed(epoch)) => {
-                    self.echoes.retain(|_, e| *e != epoch);
-                    if self.hedge.as_ref().is_some_and(|h| h.epoch == epoch) {
-                        self.hedge = None;
-                        for req in self.pending.values_mut() {
-                            req.hedged = false;
-                        }
-                    }
+                    self.forget_conn(epoch);
                     if epoch == target_epoch {
                         return;
                     }
@@ -633,36 +637,32 @@ impl Drop for ResilientClient {
     }
 }
 
-/// Extract the `"id"` field from a reply line.
-fn line_id(line: &str) -> Option<u64> {
-    let value: Value = parse(line).ok()?;
-    value.get("id").and_then(|v| u64::deserialize_json(v).ok())
-}
-
 fn write_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
     stream.write_all(line.as_bytes())?;
     stream.write_all(b"\n")?;
     stream.flush()
 }
 
-/// Reader thread: decode frames off `stream` into `tx`, tagged with
-/// `epoch`; send `Closed(epoch)` exactly once on EOF or error.
+/// Reader thread: decode and parse frames off `stream` into `tx`, tagged
+/// with `epoch`; send `Closed(epoch)` exactly once on EOF or error.
 fn spawn_reader(stream: &TcpStream, epoch: u64, tx: Sender<Pipe>) -> io::Result<()> {
     let stream = stream.try_clone()?;
     std::thread::Builder::new().name(format!("client-reader-{epoch}")).spawn(move || {
         let mut reader = FrameReader::new(stream, DEFAULT_MAX_FRAME);
         loop {
-            match reader.read_frame() {
-                Ok(Some(Frame::Complete(line))) => {
-                    if tx.send(Pipe::Line(epoch, line)).is_err() {
-                        return;
-                    }
-                }
-                Ok(Some(Frame::Reject(_))) => {}
+            let pipe = match reader.read_frame() {
+                Ok(Some(Frame::Complete(line))) => parse(&line).map_or(Pipe::Bad, |reply| Pipe::Line(epoch, reply)),
+                // A connection cut mid-frame; EOF follows and the client
+                // resubmits, so this is a transport fault, not a bad reply.
+                Ok(Some(Frame::Reject(FrameError::Truncated))) => continue,
+                Ok(Some(Frame::Reject(_))) => Pipe::Bad,
                 Ok(None) | Err(_) => {
                     let _ = tx.send(Pipe::Closed(epoch));
                     return;
                 }
+            };
+            if tx.send(pipe).is_err() {
+                return;
             }
         }
     })?;

@@ -12,9 +12,11 @@
 //!   listener wiring [`FrameReader`] → session → per-connection writer,
 //!   with write-backpressure feeding admission shedding and singleflight
 //!   request coalescing shared across connections.
-//! - [`loadgen`] — a closed-loop load generator ([`loadgen::run`]) that
-//!   drives skewed-key traffic at configurable concurrency and reports
-//!   throughput and latency quantiles to `BENCH_service.json`.
+//! - [`loadgen`] — a closed- or open-loop load generator
+//!   ([`loadgen::run`]) whose every connection runs one paced loop over a
+//!   [`ResilientClient`], driving skewed-key traffic (optionally through a
+//!   [`ChaosProxy`]) and reporting throughput, latency quantiles and the
+//!   nested client/proxy counters.
 //! - [`chaos`] — [`ChaosProxy`], a seeded fault-injecting TCP proxy
 //!   (resets, refusals, latency, throttling, partial writes, mid-frame
 //!   cuts) for wire-level chaos testing.

@@ -1,29 +1,38 @@
-//! Closed- and open-loop traffic generators for a TCP `gaplan serve`.
+//! Closed- and open-loop traffic generator for a TCP `gaplan serve`.
 //!
-//! **Closed loop** (default): each of `conns` client threads keeps up to
-//! `inflight` jobs outstanding on its own connection, driving `jobs` total
-//! plan requests — arrival rate adapts to server speed, so the server is
-//! never truly overloaded. Keys follow a two-point skew: with probability
-//! `skew` a request uses the hot key 0, otherwise a key uniform over
-//! `key_space` — hot keys are what make singleflight coalescing and the
-//! plan cache earn their keep. Every key maps to the same small Hanoi
-//! problem with a key-derived GA seed, so a key fully determines the
-//! (deterministic) plan; the report carries an order-independent
-//! fingerprint of every key's plan, which lets a coalescing run be checked
-//! byte-for-byte against an uncoalesced one.
+//! Each of `conns` threads runs one paced loop over its own
+//! [`ResilientClient`], so every run reconnects, resubmits idempotently and
+//! (optionally) hedges the same way — with or without a proxy in between.
+//! The loop has two pacing modes:
 //!
-//! **Open loop** (`rate: Some(r)`): arrivals are *paced* at `r` jobs/s
-//! overall (split across connections, `burst` jobs per arrival instant)
-//! regardless of how fast replies come back — the shape that actually
-//! overloads a server and exercises admission control, CoDel shedding and
-//! brownout. The report then also carries `goodput` (Done replies within
-//! their deadline, measured client-side), the rejected/degraded/expired
-//! breakdown, and Done-only sojourn percentiles.
+//! - **Closed loop** (default): keep up to `inflight` jobs outstanding, so
+//!   the arrival rate adapts to server speed and the server is never truly
+//!   overloaded.
+//! - **Open loop** (`rate: Some(r)`): send `burst` jobs per scheduled
+//!   arrival, `r` jobs/s overall, no matter how slowly replies come back —
+//!   the shape that overloads a server and exercises admission control,
+//!   CoDel shedding and brownout. Each job is timed from its *scheduled*
+//!   arrival, so a late send shows up as latency instead of hiding.
+//!
+//! In both modes the jobs a connection still owes are counted lost once
+//! 20 s pass with jobs pending and no reply or send, so a server that
+//! silently drops a job cannot hang the run; an open loop idling between
+//! arrivals with nothing pending is not counted.
+//!
+//! Keys follow a two-point skew: with probability `skew` a request uses the
+//! hot key 0, otherwise a key uniform over `key_space` — hot keys are what
+//! make singleflight coalescing and the plan cache earn their keep. Every
+//! key maps to the same small Hanoi problem with a key-derived GA seed, so
+//! a key fully determines the (deterministic) plan; the report carries an
+//! order-independent fingerprint of every key's plan, which lets a
+//! coalescing or fault-injected run be checked byte-for-byte against a
+//! plain one.
 //!
 //! Latency is recorded per reply in microseconds into the obs log2-bucket
 //! [`Histogram`] and reported as p50/p90/p99 bucket upper bounds alongside
-//! throughput — the numbers that land in `BENCH_service.json` /
-//! `BENCH_overload.json`.
+//! throughput, goodput (Done replies within their deadline), the
+//! rejected/shed/degraded/expired breakdown, and the nested client and
+//! proxy counters.
 
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Write};
@@ -38,8 +47,8 @@ use serde::json::{parse, write_value, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::chaos::{ChaosConfig, ChaosProxy, ProxyStatsSnapshot};
-use crate::client::{BackoffPolicy, ClientConfig, HedgeMode, ResilientClient};
-use crate::codec::{Frame, FrameReader, DEFAULT_MAX_FRAME};
+use crate::client::{BackoffPolicy, ClientConfig, ClientStats, HedgeMode, ResilientClient};
+use crate::codec::{write_frame, Frame, FrameReader, DEFAULT_MAX_FRAME};
 
 /// Traffic shape for one [`run`].
 #[derive(Debug, Clone)]
@@ -50,7 +59,8 @@ pub struct LoadgenConfig {
     pub jobs: u64,
     /// Client connections, each on its own thread.
     pub conns: usize,
-    /// Per-connection cap on outstanding (unanswered) jobs.
+    /// Per-connection cap on outstanding (unanswered) jobs in the closed
+    /// loop (ignored open-loop).
     pub inflight: usize,
     /// Distinct cold keys; key 0 is the additional hot key.
     pub key_space: u64,
@@ -73,18 +83,13 @@ pub struct LoadgenConfig {
     /// vary the GA seed, so coalescing/caching behave as with Hanoi.
     pub dsl: Option<(String, String)>,
     /// Route job traffic through an external proxy at this address while
-    /// metrics/shutdown still go straight to `addr`. Implies the
-    /// resilient client.
+    /// metrics/shutdown still go straight to `addr`.
     pub proxy: Option<String>,
     /// Start an in-process [`ChaosProxy`] in front of `addr` and route job
     /// traffic through it (its `upstream` field is overwritten with
-    /// `addr`). Implies the resilient client; the report embeds the
-    /// proxy's per-toxic counters.
+    /// `addr`); the report embeds the proxy's per-toxic counters.
     pub chaos: Option<ChaosConfig>,
-    /// Use the reconnecting/retrying [`ResilientClient`] even without a
-    /// proxy (closed loop only).
-    pub resilient: bool,
-    /// Hedging policy for the resilient client.
+    /// Hedging policy for each connection's client.
     pub hedge: HedgeMode,
 }
 
@@ -105,13 +110,12 @@ impl Default for LoadgenConfig {
             dsl: None,
             proxy: None,
             chaos: None,
-            resilient: false,
             hedge: HedgeMode::Off,
         }
     }
 }
 
-/// Outcome of a [`run`], serialized to `BENCH_service.json`.
+/// Outcome of a [`run`], serialized to the `--out` JSON file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LoadgenReport {
     /// Jobs requested.
@@ -137,7 +141,8 @@ pub struct LoadgenReport {
     pub goodput: u64,
     /// Replies whose plan reached the goal.
     pub solved: u64,
-    /// Frames the client failed to decode.
+    /// Reply frames that were not a JSON object with an id, or exceeded
+    /// the frame size limit (the clients' `bad_frames`).
     pub bad_frames: u64,
     /// Wall-clock duration of the whole run, milliseconds.
     pub wall_ms: u64,
@@ -167,39 +172,19 @@ pub struct LoadgenReport {
     /// Order-independent fingerprint over (key, plan) pairs; equal runs
     /// (coalesced or not) must produce equal fingerprints.
     pub plans_hash: u64,
-    /// Pending requests the resilient client resubmitted after reconnects.
-    pub client_retries: u64,
-    /// Successful client reconnects after a dropped connection.
-    pub client_reconnects: u64,
-    /// Hedge requests sent on a second connection.
-    pub client_hedges: u64,
-    /// Hedges whose connection delivered the winning reply.
-    pub hedges_won: u64,
-    /// Times a client circuit breaker transitioned to open.
-    pub breaker_opens: u64,
-    /// Dial attempts skipped because a breaker was open.
-    pub breaker_rejections: u64,
-    /// Reply lines that matched no pending request (true duplicates; must
-    /// be 0 — hedge echoes are accounted separately and swallowed).
+    /// Reply lines that matched no pending request, the clients'
+    /// `duplicates` (true duplicates; must be 0 — hedge echoes are
+    /// accounted separately and swallowed).
     pub duplicates: u64,
-    /// In-process chaos proxy: connections accepted (0 without `chaos`).
-    pub proxy_conns: u64,
-    /// Chaos proxy: connections refused before forwarding.
-    pub proxy_refused: u64,
-    /// Chaos proxy: connections killed by the reset toxic.
-    pub proxy_resets: u64,
-    /// Chaos proxy: connections killed mid-frame by the cut toxic.
-    pub proxy_cuts: u64,
-    /// Chaos proxy: chunks delayed by the latency toxic.
-    pub proxy_delays: u64,
-    /// Chaos proxy: total injected latency, milliseconds.
-    pub proxy_delay_ms: u64,
-    /// Chaos proxy: chunks dribbled out by the partial-write toxic.
-    pub proxy_partial_writes: u64,
-    /// Chaos proxy: pauses taken to hold the bandwidth cap.
-    pub proxy_throttle_sleeps: u64,
+    /// Client counters (retries, reconnects, hedges, breaker) summed over
+    /// every connection.
+    pub client: ClientStats,
+    /// In-process chaos proxy counters (all 0 without `chaos`).
+    pub proxy: ProxyStatsSnapshot,
 }
 
+/// One connection's tally; [`run`] folds them with [`ConnStats::merge`].
+#[derive(Default)]
 struct ConnStats {
     replies: u64,
     lost: u64,
@@ -210,60 +195,24 @@ struct ConnStats {
     degraded: u64,
     goodput: u64,
     solved: u64,
-    bad_frames: u64,
     latency_us: Histogram,
     done_latency_us: Histogram,
     /// First-seen plan fingerprint per key, plus mismatch count.
     plans: HashMap<u64, u64>,
     mismatches: u64,
-    duplicates: u64,
-    client: crate::client::ClientStats,
+    client: ClientStats,
 }
 
 impl ConnStats {
-    fn new() -> ConnStats {
-        ConnStats {
-            replies: 0,
-            lost: 0,
-            errors: 0,
-            rejected: 0,
-            shed: 0,
-            expired: 0,
-            degraded: 0,
-            goodput: 0,
-            solved: 0,
-            bad_frames: 0,
-            latency_us: Histogram::default(),
-            done_latency_us: Histogram::default(),
-            plans: HashMap::new(),
-            mismatches: 0,
-            duplicates: 0,
-            client: crate::client::ClientStats::default(),
-        }
-    }
-
-    /// Fold one reply line into the stats. Returns `true` when the line
-    /// matched a pending job (drives the open-loop drain's idle clock).
+    /// Fold the client's reply for `id` into the stats.
     fn record_reply(
         &mut self,
         pending: &mut HashMap<u64, (Instant, u64)>,
-        line: &str,
+        id: u64,
+        value: &Value,
         deadline_ms: Option<u64>,
-    ) -> bool {
-        let Ok(value) = parse(line) else {
-            self.bad_frames += 1;
-            return false;
-        };
-        let Some(id) = get_u64(&value, "id") else {
-            self.bad_frames += 1;
-            return false;
-        };
-        let Some((sent_at, key)) = pending.remove(&id) else {
-            // Duplicate or stray reply: a second answer for an id already
-            // settled, or an id never sent. Must stay 0 on every run.
-            self.duplicates += 1;
-            return false;
-        };
+    ) {
+        let (sent_at, key) = pending.remove(&id).expect("the client hands back each submitted id once");
         self.replies += 1;
         let latency_us = sent_at.elapsed().as_micros() as u64;
         self.latency_us.record(latency_us);
@@ -295,17 +244,49 @@ impl ConnStats {
                 if let Some(p) = value.get("plan") {
                     write_value(&mut plan, p);
                 }
-                let fp = fnv1a(plan.as_bytes());
-                match self.plans.get(&key) {
-                    Some(&seen) if seen != fp => self.mismatches += 1,
-                    Some(_) => {}
-                    None => {
-                        self.plans.insert(key, fp);
-                    }
-                }
+                self.note_plan(key, fnv1a(plan.as_bytes()));
             }
         }
-        true
+    }
+
+    /// Remember `key`'s plan fingerprint, counting a mismatch when it
+    /// disagrees with the one seen first.
+    fn note_plan(&mut self, key: u64, fp: u64) {
+        match self.plans.get(&key) {
+            Some(&seen) if seen != fp => self.mismatches += 1,
+            Some(_) => {}
+            None => {
+                self.plans.insert(key, fp);
+            }
+        }
+    }
+
+    /// Add another connection's tally to this one.
+    fn merge(&mut self, other: ConnStats) {
+        self.replies += other.replies;
+        self.lost += other.lost;
+        self.errors += other.errors;
+        self.rejected += other.rejected;
+        self.shed += other.shed;
+        self.expired += other.expired;
+        self.degraded += other.degraded;
+        self.goodput += other.goodput;
+        self.solved += other.solved;
+        self.latency_us.merge(&other.latency_us);
+        self.done_latency_us.merge(&other.done_latency_us);
+        self.mismatches += other.mismatches;
+        for (key, fp) in other.plans {
+            self.note_plan(key, fp);
+        }
+        let (c, o) = (&mut self.client, other.client);
+        c.retries += o.retries;
+        c.reconnects += o.reconnects;
+        c.hedges += o.hedges;
+        c.hedges_won += o.hedges_won;
+        c.breaker_opens += o.breaker_opens;
+        c.breaker_rejections += o.breaker_rejections;
+        c.duplicates += o.duplicates;
+        c.bad_frames += o.bad_frames;
     }
 }
 
@@ -356,52 +337,19 @@ fn get_u64(value: &Value, field: &str) -> Option<u64> {
     value.get(field).and_then(|v| u64::deserialize_json(v).ok())
 }
 
-fn run_conn(cfg: &LoadgenConfig, conn_idx: u64, jobs: u64) -> io::Result<ConnStats> {
-    let stream = TcpStream::connect(&cfg.addr)?;
-    stream.set_nodelay(true)?;
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut reader = FrameReader::new(stream, DEFAULT_MAX_FRAME);
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(conn_idx.wrapping_mul(0x9e37_79b9)));
-    let mut stats = ConnStats::new();
-    // Ids are namespaced per connection; the server's coalescer keys on
-    // problem/config signatures, not ids.
-    let base = (conn_idx + 1) << 40;
-    let mut pending: HashMap<u64, (Instant, u64)> = HashMap::new();
-    let mut sent = 0u64;
+/// How long a connection waits, with jobs pending and no reply or send,
+/// before counting the jobs it still owes as lost.
+const DRAIN_IDLE: Duration = Duration::from_secs(20);
 
-    while stats.replies + stats.lost < jobs {
-        while sent < jobs && pending.len() < cfg.inflight.max(1) {
-            let key = pick_key(&mut rng, cfg);
-            let id = base + sent;
-            crate::codec::write_frame(&mut writer, &plan_line(cfg, id, key))?;
-            pending.insert(id, (Instant::now(), key));
-            sent += 1;
-        }
-        writer.flush()?;
-        match reader.read_frame()? {
-            Some(Frame::Complete(line)) => {
-                stats.record_reply(&mut pending, &line, cfg.deadline_ms);
-            }
-            Some(Frame::Reject(_)) => stats.bad_frames += 1,
-            None => {
-                // Server went away: everything pending or unsent is lost.
-                stats.lost += pending.len() as u64 + (jobs - sent);
-                pending.clear();
-                break;
-            }
-        }
-    }
-    Ok(stats)
-}
-
-/// Closed-loop connection driven through a [`ResilientClient`]: same
-/// traffic shape as [`run_conn`], but connection drops trigger reconnect +
-/// idempotent resubmission instead of counting everything as lost, and
-/// slow replies may be hedged per `cfg.hedge`. `cfg.addr` here is the
-/// *connect* address (proxy when one is in play); the client's retry
-/// guarantees make the resulting report comparable bit-for-bit
-/// (`plans_hash`) with a fault-free run.
-fn run_conn_resilient(cfg: &LoadgenConfig, conn_idx: u64, jobs: u64) -> io::Result<ConnStats> {
+/// Drive `jobs` jobs over one [`ResilientClient`] connection to
+/// `cfg.addr` (the proxy, when one is in play). Closed loop when
+/// `rate_per_conn` is `None`: top pending jobs up to `cfg.inflight`. Open
+/// loop otherwise: send `cfg.burst` jobs per scheduled arrival at
+/// `rate_per_conn` jobs/s, a late tick catching up burst by burst rather
+/// than skipping. Connection drops reconnect and resubmit inside the
+/// client, so the report stays comparable bit-for-bit (`plans_hash`) with
+/// a fault-free run.
+fn run_conn(cfg: &LoadgenConfig, conn_idx: u64, jobs: u64, rate_per_conn: Option<f64>) -> io::Result<ConnStats> {
     let mut client = ResilientClient::connect(ClientConfig {
         addr: cfg.addr.clone(),
         backoff: BackoffPolicy { base_ms: 10, max_ms: 500, seed: cfg.seed ^ conn_idx },
@@ -409,131 +357,60 @@ fn run_conn_resilient(cfg: &LoadgenConfig, conn_idx: u64, jobs: u64) -> io::Resu
         ..ClientConfig::default()
     })?;
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(conn_idx.wrapping_mul(0x9e37_79b9)));
-    let mut stats = ConnStats::new();
+    let mut stats = ConnStats::default();
+    // Ids are namespaced per connection; the server's coalescer keys on
+    // problem/config signatures, not ids.
     let base = (conn_idx + 1) << 40;
-    // Submit-time + key per id; the client holds the request lines.
-    let mut meta: HashMap<u64, (Instant, u64)> = HashMap::new();
+    // Latency origin + key per id; the client holds the request lines.
+    let mut pending: HashMap<u64, (Instant, u64)> = HashMap::new();
     let mut sent = 0u64;
+    let burst = cfg.burst.max(1);
+    let interval = rate_per_conn.map(|r| Duration::from_secs_f64(burst as f64 / r.max(1e-9)));
+    let mut next_arrival = Instant::now();
     let mut last_progress = Instant::now();
 
-    'drive: while stats.replies + stats.lost < jobs {
-        while sent < jobs && client.pending_len() < cfg.inflight.max(1) {
+    'drive: while sent < jobs || !pending.is_empty() {
+        let now = Instant::now();
+        let (due, origin) = match interval {
+            None => (cfg.inflight.max(1).saturating_sub(pending.len()) as u64, now),
+            Some(interval) if now >= next_arrival => {
+                let origin = next_arrival;
+                next_arrival += interval;
+                (burst, origin)
+            }
+            Some(_) => (0, now),
+        };
+        for _ in 0..due.min(jobs - sent) {
             let key = pick_key(&mut rng, cfg);
             let id = base + sent;
             if client.submit(id, &plan_line(cfg, id, key)).is_err() {
                 // Reconnect attempts exhausted: the server is gone.
-                stats.lost += meta.len() as u64 + (jobs - sent);
+                stats.lost += pending.len() as u64 + (jobs - sent);
                 break 'drive;
             }
-            meta.insert(id, (Instant::now(), key));
+            pending.insert(id, (origin, key));
             sent += 1;
+            last_progress = now;
         }
-        match client.next_reply(Duration::from_millis(50)) {
-            Ok(Some((_, line))) => {
-                if stats.record_reply(&mut meta, &line, cfg.deadline_ms) {
-                    last_progress = Instant::now();
-                }
+        // Wait for a reply, but never past the next scheduled arrival.
+        let wait = match interval {
+            Some(_) if sent < jobs => next_arrival.saturating_duration_since(Instant::now()),
+            _ => Duration::from_millis(50),
+        };
+        match client.next_reply(wait.min(Duration::from_millis(50))) {
+            Ok(Some((id, reply))) => {
+                stats.record_reply(&mut pending, id, &reply, cfg.deadline_ms);
+                last_progress = Instant::now();
             }
-            Ok(None) => {
-                if last_progress.elapsed() >= DRAIN_IDLE {
-                    stats.lost += meta.len() as u64 + (jobs - sent);
-                    break;
-                }
-            }
-            Err(_) => {
-                stats.lost += meta.len() as u64 + (jobs - sent);
+            // Nothing owed yet: an open loop waiting for its next arrival.
+            Ok(None) if pending.is_empty() || last_progress.elapsed() < DRAIN_IDLE => {}
+            Ok(None) | Err(_) => {
+                stats.lost += pending.len() as u64 + (jobs - sent);
                 break;
             }
         }
     }
     stats.client = client.stats();
-    stats.duplicates += stats.client.duplicates;
-    Ok(stats)
-}
-
-/// How long the open-loop drain waits without any reply before declaring
-/// the remaining pending jobs lost.
-const DRAIN_IDLE: Duration = Duration::from_secs(20);
-
-/// Open-loop variant of [`run_conn`]: arrivals are paced at
-/// `rate_per_conn` jobs/s (in bursts of `cfg.burst`) no matter how slowly
-/// replies come back, then a drain phase collects stragglers. A short
-/// socket read timeout interleaves sends and receives on the one thread;
-/// the [`FrameReader`] keeps partial frames across timeout ticks.
-fn run_conn_open(cfg: &LoadgenConfig, conn_idx: u64, jobs: u64, rate_per_conn: f64) -> io::Result<ConnStats> {
-    let stream = TcpStream::connect(&cfg.addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(2)))?;
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut reader = FrameReader::new(stream, DEFAULT_MAX_FRAME);
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(conn_idx.wrapping_mul(0x9e37_79b9)));
-    let mut stats = ConnStats::new();
-    let base = (conn_idx + 1) << 40;
-    let mut pending: HashMap<u64, (Instant, u64)> = HashMap::new();
-    let mut sent = 0u64;
-
-    let burst = cfg.burst.max(1);
-    let interval = Duration::from_secs_f64(burst as f64 / rate_per_conn.max(1e-9));
-    let mut next_arrival = Instant::now();
-
-    while sent < jobs {
-        if Instant::now() >= next_arrival {
-            // Send the whole burst even if the server is slow: open loop
-            // means the arrival process never waits for replies. A late
-            // tick catches up burst by burst rather than skipping.
-            for _ in 0..burst.min(jobs - sent) {
-                let key = pick_key(&mut rng, cfg);
-                let id = base + sent;
-                crate::codec::write_frame(&mut writer, &plan_line(cfg, id, key))?;
-                pending.insert(id, (Instant::now(), key));
-                sent += 1;
-            }
-            writer.flush()?;
-            next_arrival += interval;
-            continue;
-        }
-        match reader.read_frame() {
-            Ok(Some(Frame::Complete(line))) => {
-                stats.record_reply(&mut pending, &line, cfg.deadline_ms);
-            }
-            Ok(Some(Frame::Reject(_))) => stats.bad_frames += 1,
-            Ok(None) => {
-                stats.lost += pending.len() as u64 + (jobs - sent);
-                return Ok(stats);
-            }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
-            Err(e) => return Err(e),
-        }
-    }
-
-    // Drain: every accepted job owes a terminal reply (Done, Shed,
-    // Rejected, DeadlineExpired, ...). Only a server that truly dropped a
-    // job leaves the pending set non-empty past the idle window.
-    let mut last_reply = Instant::now();
-    while !pending.is_empty() {
-        match reader.read_frame() {
-            Ok(Some(Frame::Complete(line))) => {
-                if stats.record_reply(&mut pending, &line, cfg.deadline_ms) {
-                    last_reply = Instant::now();
-                }
-            }
-            Ok(Some(Frame::Reject(_))) => stats.bad_frames += 1,
-            Ok(None) => {
-                stats.lost += pending.len() as u64;
-                break;
-            }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if last_reply.elapsed() >= DRAIN_IDLE {
-                    stats.lost += pending.len() as u64;
-                    break;
-                }
-            }
-            Err(_) => {
-                stats.lost += pending.len() as u64;
-                break;
-            }
-        }
-    }
     Ok(stats)
 }
 
@@ -543,7 +420,7 @@ fn fetch_metrics(cfg: &LoadgenConfig) -> io::Result<(u64, u64)> {
     let stream = TcpStream::connect(&cfg.addr)?;
     let mut writer = BufWriter::new(stream.try_clone()?);
     let mut reader = FrameReader::new(stream, DEFAULT_MAX_FRAME);
-    crate::codec::write_frame(&mut writer, "{\"cmd\":\"metrics\"}")?;
+    write_frame(&mut writer, "{\"cmd\":\"metrics\"}")?;
     writer.flush()?;
     let mut counters = (0, 0);
     if let Some(Frame::Complete(line)) = reader.read_frame()? {
@@ -555,14 +432,15 @@ fn fetch_metrics(cfg: &LoadgenConfig) -> io::Result<(u64, u64)> {
         }
     }
     if cfg.shutdown_after {
-        crate::codec::write_frame(&mut writer, "{\"cmd\":\"shutdown\"}")?;
+        write_frame(&mut writer, "{\"cmd\":\"shutdown\"}")?;
         writer.flush()?;
     }
     Ok(counters)
 }
 
-/// Drive the configured load and collect the report. Errors only on
-/// connect/write failures; reply-level anomalies are counted, not fatal.
+/// Drive the configured load and collect the report. Errors only when a
+/// connection cannot be established at all; reply-level anomalies are
+/// counted, not fatal.
 pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
     let conns = cfg.conns.max(1) as u64;
     let per_conn = cfg.jobs / conns;
@@ -583,131 +461,63 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
         (None, Some(addr)) => addr.clone(),
         (None, None) => cfg.addr.clone(),
     };
-    let resilient = cfg.resilient || proxy.is_some() || cfg.proxy.is_some() || cfg.hedge != HedgeMode::Off;
-    if resilient && cfg.rate.is_some() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "the resilient client is closed-loop only; drop --rate or the proxy/chaos/hedge flags",
-        ));
-    }
     let started = Instant::now();
 
     let rate_per_conn = cfg.rate.map(|r| r / conns as f64);
-    let mut handles = Vec::new();
-    for conn_idx in 0..conns {
-        let mut cfg = cfg.clone();
-        cfg.addr = connect_addr.clone();
-        let jobs = per_conn + u64::from(conn_idx < remainder);
-        handles.push(std::thread::spawn(move || match rate_per_conn {
-            Some(rate) => run_conn_open(&cfg, conn_idx, jobs, rate),
-            None if resilient => run_conn_resilient(&cfg, conn_idx, jobs),
-            None => run_conn(&cfg, conn_idx, jobs),
-        }));
-    }
-
-    let mut replies = 0u64;
-    let mut lost = 0u64;
-    let mut errors = 0u64;
-    let mut rejected = 0u64;
-    let mut shed = 0u64;
-    let mut expired = 0u64;
-    let mut degraded = 0u64;
-    let mut goodput = 0u64;
-    let mut solved = 0u64;
-    let mut bad_frames = 0u64;
-    let mut latency = Histogram::default();
-    let mut done_latency = Histogram::default();
-    let mut plans: HashMap<u64, u64> = HashMap::new();
-    let mut mismatches = 0u64;
-    let mut duplicates = 0u64;
-    let mut client = crate::client::ClientStats::default();
+    let handles: Vec<_> = (0..conns)
+        .map(|conn_idx| {
+            let cfg = LoadgenConfig { addr: connect_addr.clone(), ..cfg.clone() };
+            let jobs = per_conn + u64::from(conn_idx < remainder);
+            std::thread::spawn(move || run_conn(&cfg, conn_idx, jobs, rate_per_conn))
+        })
+        .collect();
+    let mut total = ConnStats::default();
     for handle in handles {
-        let stats = handle.join().map_err(|_| io::Error::other("loadgen connection thread panicked"))??;
-        replies += stats.replies;
-        lost += stats.lost;
-        errors += stats.errors;
-        rejected += stats.rejected;
-        shed += stats.shed;
-        expired += stats.expired;
-        degraded += stats.degraded;
-        goodput += stats.goodput;
-        solved += stats.solved;
-        bad_frames += stats.bad_frames;
-        mismatches += stats.mismatches;
-        duplicates += stats.duplicates;
-        client.retries += stats.client.retries;
-        client.reconnects += stats.client.reconnects;
-        client.hedges += stats.client.hedges;
-        client.hedges_won += stats.client.hedges_won;
-        client.breaker_opens += stats.client.breaker_opens;
-        client.breaker_rejections += stats.client.breaker_rejections;
-        latency.merge(&stats.latency_us);
-        done_latency.merge(&stats.done_latency_us);
-        for (key, fp) in stats.plans {
-            match plans.get(&key) {
-                Some(&seen) if seen != fp => mismatches += 1,
-                Some(_) => {}
-                None => {
-                    plans.insert(key, fp);
-                }
-            }
-        }
+        total.merge(handle.join().map_err(|_| io::Error::other("loadgen connection thread panicked"))??);
     }
     let wall_ms = started.elapsed().as_millis() as u64;
 
-    let proxy_stats = proxy.map(ChaosProxy::stop).unwrap_or_else(ProxyStatsSnapshot::default);
+    let proxy = proxy.map(ChaosProxy::stop).unwrap_or_default();
 
     let (coalesced_jobs, cache_hits) = fetch_metrics(cfg).unwrap_or((0, 0));
 
     let mut plans_hash = 0u64;
-    for (key, fp) in &plans {
+    for (key, fp) in &total.plans {
         plans_hash ^= fnv1a(format!("{key}:{fp}").as_bytes());
     }
 
     Ok(LoadgenReport {
         jobs: cfg.jobs,
-        replies,
-        lost,
-        errors,
-        rejected,
-        shed,
-        expired,
-        degraded,
-        goodput,
-        solved,
-        bad_frames,
+        replies: total.replies,
+        lost: total.lost,
+        errors: total.errors,
+        rejected: total.rejected,
+        shed: total.shed,
+        expired: total.expired,
+        degraded: total.degraded,
+        goodput: total.goodput,
+        solved: total.solved,
+        bad_frames: total.client.bad_frames,
         wall_ms,
-        throughput_jobs_per_sec: if wall_ms > 0 { replies as f64 * 1000.0 / wall_ms as f64 } else { 0.0 },
-        latency_us_p50: latency.quantile_upper(0.5),
-        latency_us_p90: latency.quantile_upper(0.9),
-        latency_us_p99: latency.quantile_upper(0.99),
-        done_latency_us_p50: done_latency.quantile_upper(0.5),
-        done_latency_us_p99: done_latency.quantile_upper(0.99),
+        throughput_jobs_per_sec: if wall_ms > 0 { total.replies as f64 * 1000.0 / wall_ms as f64 } else { 0.0 },
+        latency_us_p50: total.latency_us.quantile_upper(0.5),
+        latency_us_p90: total.latency_us.quantile_upper(0.9),
+        latency_us_p99: total.latency_us.quantile_upper(0.99),
+        done_latency_us_p50: total.done_latency_us.quantile_upper(0.5),
+        done_latency_us_p99: total.done_latency_us.quantile_upper(0.99),
         offered_rate_jobs_per_sec: cfg.rate.unwrap_or(0.0),
         coalesced_jobs,
         cache_hits,
-        distinct_keys: plans.len() as u64,
-        plan_mismatches: mismatches,
+        distinct_keys: total.plans.len() as u64,
+        plan_mismatches: total.mismatches,
         plans_hash,
-        client_retries: client.retries,
-        client_reconnects: client.reconnects,
-        client_hedges: client.hedges,
-        hedges_won: client.hedges_won,
-        breaker_opens: client.breaker_opens,
-        breaker_rejections: client.breaker_rejections,
-        duplicates,
-        proxy_conns: proxy_stats.conns,
-        proxy_refused: proxy_stats.refused,
-        proxy_resets: proxy_stats.resets,
-        proxy_cuts: proxy_stats.cuts,
-        proxy_delays: proxy_stats.delays,
-        proxy_delay_ms: proxy_stats.delay_ms_total,
-        proxy_partial_writes: proxy_stats.partial_writes,
-        proxy_throttle_sleeps: proxy_stats.throttle_sleeps,
+        duplicates: total.client.duplicates,
+        client: total.client,
+        proxy,
     })
 }
 
-/// Write the report as pretty-printed JSON to `path`.
+/// Write the report as JSON to `path`.
 pub fn write_report(path: &Path, report: &LoadgenReport) -> io::Result<()> {
     let json = serde_json::to_string(report).map_err(io::Error::other)?;
     std::fs::write(path, json + "\n")
@@ -752,23 +562,21 @@ mod tests {
             distinct_keys: 2,
             plan_mismatches: 0,
             plans_hash: 99,
-            client_retries: 5,
-            client_reconnects: 2,
-            client_hedges: 3,
-            hedges_won: 1,
-            breaker_opens: 1,
-            breaker_rejections: 4,
             duplicates: 0,
-            proxy_conns: 12,
-            proxy_refused: 1,
-            proxy_resets: 2,
-            proxy_cuts: 3,
-            proxy_delays: 40,
-            proxy_delay_ms: 200,
-            proxy_partial_writes: 6,
-            proxy_throttle_sleeps: 7,
+            client: ClientStats {
+                retries: 5,
+                reconnects: 2,
+                hedges: 3,
+                hedges_won: 1,
+                breaker_opens: 1,
+                breaker_rejections: 4,
+                duplicates: 0,
+                bad_frames: 0,
+            },
+            proxy: ProxyStatsSnapshot { conns: 12, resets: 2, cuts: 3, partial_writes: 6, ..Default::default() },
         };
         let json = serde_json::to_string(&report).unwrap();
+        assert!(json.contains("\"client\":{\"retries\":5,"), "{json}");
         let back: LoadgenReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.jobs, 10);
         assert_eq!(back.rejected, 1);
@@ -777,13 +585,8 @@ mod tests {
         assert_eq!(back.goodput, 4);
         assert_eq!(back.offered_rate_jobs_per_sec, 120.0);
         assert_eq!(back.plans_hash, 99);
-        assert_eq!(back.client_retries, 5);
-        assert_eq!(back.client_hedges, 3);
-        assert_eq!(back.hedges_won, 1);
-        assert_eq!(back.breaker_opens, 1);
         assert_eq!(back.duplicates, 0);
-        assert_eq!(back.proxy_resets, 2);
-        assert_eq!(back.proxy_cuts, 3);
-        assert_eq!(back.proxy_partial_writes, 6);
+        assert_eq!(back.client, report.client);
+        assert_eq!(back.proxy, report.proxy);
     }
 }

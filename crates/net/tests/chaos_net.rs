@@ -27,6 +27,20 @@ fn load_cfg(addr: String) -> LoadgenConfig {
     }
 }
 
+/// Resets, mid-frame cuts, latency and byte-dribbled writes on a fixed
+/// seed.
+fn toxics() -> ChaosConfig {
+    ChaosConfig {
+        seed: 5,
+        reset_rate: 0.02,
+        cut_rate: 0.01,
+        latency_ms: 1,
+        jitter_ms: 2,
+        partial_rate: 0.05,
+        ..ChaosConfig::default()
+    }
+}
+
 #[test]
 fn chaos_run_is_lossless_duplicate_free_and_plan_identical_to_fault_free() {
     // Fault-free baseline.
@@ -40,28 +54,20 @@ fn chaos_run_is_lossless_duplicate_free_and_plan_identical_to_fault_free() {
     // cuts, latency and byte-dribbled writes.
     let server = start(4);
     let mut cfg = load_cfg(server.local_addr().to_string());
-    cfg.chaos = Some(ChaosConfig {
-        seed: 5,
-        reset_rate: 0.02,
-        cut_rate: 0.01,
-        latency_ms: 1,
-        jitter_ms: 2,
-        partial_rate: 0.05,
-        ..ChaosConfig::default()
-    });
+    cfg.chaos = Some(toxics());
     cfg.hedge = HedgeMode::AutoP99 { floor_ms: 20 };
     let chaotic = loadgen::run(&cfg).expect("chaos run");
     server.stop().expect("clean stop");
 
     // Chaos actually happened and forced the client to retry...
     assert!(
-        chaotic.proxy_resets + chaotic.proxy_cuts > 0,
+        chaotic.proxy.resets + chaotic.proxy.cuts > 0,
         "the toxic schedule injected no connection faults: {chaotic:?}"
     );
-    assert!(chaotic.proxy_delays > 0, "{chaotic:?}");
-    assert!(chaotic.proxy_partial_writes > 0, "{chaotic:?}");
-    assert!(chaotic.client_reconnects > 0, "{chaotic:?}");
-    assert!(chaotic.client_retries > 0, "{chaotic:?}");
+    assert!(chaotic.proxy.delays > 0, "{chaotic:?}");
+    assert!(chaotic.proxy.partial_writes > 0, "{chaotic:?}");
+    assert!(chaotic.client.reconnects > 0, "{chaotic:?}");
+    assert!(chaotic.client.retries > 0, "{chaotic:?}");
 
     // ...and the guarantees held anyway: nothing lost, nothing answered
     // twice, every plan byte-identical to the fault-free run.
@@ -71,4 +77,37 @@ fn chaos_run_is_lossless_duplicate_free_and_plan_identical_to_fault_free() {
     assert_eq!(chaotic.replies, chaotic.jobs, "{chaotic:?}");
     assert_eq!(chaotic.distinct_keys, baseline.distinct_keys);
     assert_eq!(chaotic.plans_hash, baseline.plans_hash, "faults changed the answers: {chaotic:?} vs {baseline:?}");
+}
+
+/// The open loop runs over the same resilient client: paced arrivals
+/// through the same toxics still lose and duplicate nothing, and the same
+/// keys plan byte-identically to the closed-loop fault-free run.
+#[test]
+fn open_loop_through_chaos_matches_the_fault_free_closed_loop() {
+    let server = start(4);
+    let baseline = loadgen::run(&load_cfg(server.local_addr().to_string())).expect("baseline run");
+    server.stop().expect("clean stop");
+    assert_eq!(baseline.lost, 0, "{baseline:?}");
+
+    let server = start(4);
+    let cfg = LoadgenConfig {
+        rate: Some(200.0),
+        burst: 2,
+        chaos: Some(toxics()),
+        hedge: HedgeMode::AutoP99 { floor_ms: 20 },
+        ..load_cfg(server.local_addr().to_string())
+    };
+    let paced = loadgen::run(&cfg).expect("open-loop chaos run");
+    server.stop().expect("clean stop");
+
+    assert_eq!(paced.offered_rate_jobs_per_sec, 200.0);
+    assert!(paced.client.reconnects > 0, "the toxics forced no reconnect: {paced:?}");
+    assert_eq!(paced.lost, 0, "{paced:?}");
+    assert_eq!(paced.duplicates, 0, "{paced:?}");
+    assert_eq!(paced.plan_mismatches, 0, "{paced:?}");
+    assert_eq!(paced.replies, paced.jobs, "{paced:?}");
+    assert_eq!(
+        paced.plans_hash, baseline.plans_hash,
+        "faults or pacing changed the answers: {paced:?} vs {baseline:?}"
+    );
 }

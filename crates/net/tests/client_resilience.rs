@@ -29,6 +29,10 @@ fn client_cfg(addr: String) -> ClientConfig {
     }
 }
 
+fn status(reply: &Value) -> &str {
+    reply.get("status").and_then(Value::as_str).unwrap_or("")
+}
+
 fn num(v: &Value, key: &str) -> u64 {
     match v.get(key) {
         Some(Value::Int(i)) => u64::try_from(*i).unwrap(),
@@ -76,9 +80,9 @@ fn hedge_wins_against_a_scripted_stalled_primary_and_the_echo_is_swallowed() {
     let mut client = ResilientClient::connect(cfg).expect("connect");
     client.submit(1, "{\"cmd\":\"plan\",\"id\":1}").expect("submit");
 
-    let (id, line) = client.next_reply(Duration::from_secs(10)).expect("client io").expect("one reply before timeout");
+    let (id, reply) = client.next_reply(Duration::from_secs(10)).expect("client io").expect("one reply before timeout");
     assert_eq!(id, 1);
-    assert!(line.contains("\"Done\""), "{line}");
+    assert_eq!(status(&reply), "Done", "{reply:?}");
 
     // Drain past the echo: no second reply surfaces, and the echo is not
     // misclassified as a duplicate.
@@ -108,8 +112,7 @@ fn hedged_pair_yields_one_reply_and_one_computation_on_a_real_server() {
     let line = "{\"cmd\":\"plan\",\"id\":9,\"problem\":{\"Hanoi\":{\"disks\":6}},\
                 \"ga\":{\"population\":200,\"generations\":100,\"phases\":2,\"seed\":5}}";
     let reply = client.call(9, line, Duration::from_secs(120)).expect("hedged call");
-    let value = parse(&reply).expect("reply is JSON");
-    assert_eq!(value.get("status").and_then(Value::as_str), Some("Done"));
+    assert_eq!(status(&reply), "Done", "{reply:?}");
 
     // Drain any in-flight echo, then check nothing was duplicated.
     let _ = client.next_reply(Duration::from_millis(300));
@@ -148,7 +151,7 @@ fn breaker_opens_on_a_dead_endpoint_and_recovery_resubmits_pending_work() {
     let fast = "{\"cmd\":\"plan\",\"id\":1,\"problem\":{\"Hanoi\":{\"disks\":3}},\
                 \"ga\":{\"population\":40,\"generations\":30,\"phases\":2,\"seed\":1}}";
     let reply = client.call(1, fast, Duration::from_secs(60)).expect("first call");
-    assert!(reply.contains("\"Done\""), "{reply}");
+    assert_eq!(status(&reply), "Done", "{reply:?}");
     server.stop().expect("clean stop");
 
     // Revive the endpoint after the breaker has had time to trip.
@@ -164,7 +167,7 @@ fn breaker_opens_on_a_dead_endpoint_and_recovery_resubmits_pending_work() {
     let second = "{\"cmd\":\"plan\",\"id\":2,\"problem\":{\"Hanoi\":{\"disks\":3}},\
                   \"ga\":{\"population\":40,\"generations\":30,\"phases\":2,\"seed\":2}}";
     let reply = client.call(2, second, Duration::from_secs(120)).expect("call through outage");
-    assert!(reply.contains("\"Done\""), "{reply}");
+    assert_eq!(status(&reply), "Done", "{reply:?}");
 
     let stats = client.stats();
     assert!(stats.breaker_opens >= 1, "refused connects must open the breaker: {stats:?}");

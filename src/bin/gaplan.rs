@@ -18,15 +18,20 @@
 //! gaplan loadgen --addr HOST:PORT [--jobs N] [--conns N] [--inflight N]
 //!               [--keys N] [--skew F] [--deadline-ms N] [--seed N]
 //!               [--rate R] [--burst B] [--shutdown-after] [--out FILE]
-//!               [--domain FILE --problem FILE]
+//!               [--domain FILE --problem FILE] [--hedge | --hedge-ms N]
+//!               [--proxy HOST:PORT | --chaos [chaos flags]]
+//! gaplan chaosproxy --upstream HOST:PORT [--listen HOST:PORT] [chaos flags]
 //! gaplan trace-report <file> [--top K]
 //! ```
 //!
 //! `serve` without `--listen` speaks JSON lines on stdin/stdout; with
 //! `--listen` it serves the same protocol over TCP (thread per connection,
 //! singleflight coalescing of identical in-flight requests unless
-//! `--no-coalesce`). `loadgen` drives a TCP server with skewed-key traffic
-//! and writes throughput/latency results to `BENCH_service.json`.
+//! `--no-coalesce`). `loadgen` drives a TCP server with skewed-key traffic,
+//! one resilient client (reconnect, idempotent retry, optional hedging)
+//! per connection, and writes throughput/latency results, with the nested
+//! client and chaos-proxy counters, to `--out` (default
+//! `BENCH_service.json`).
 //!
 //! Overload control (see DESIGN.md §12): `--target-ms N` enables the
 //! CoDel-style controlled-delay queue (head shedding when sojourn stays
@@ -35,12 +40,15 @@
 //! F — once the queue-wait average reaches 2N ms (50 ms without a target)
 //! jobs run a scaled-down GA and replies carry `"degraded":true`, until it
 //! falls below N/2 ms (12 ms). Every other threshold derives from these
-//! two flags. Unknown `serve` flags and unparsable flag values are usage
-//! errors.
+//! two flags. Unparsable flag values are usage errors.
 //! `--idle-ms N` reaps TCP connections idle longer than N ms (slowloris
 //! defense; 0 disables). `loadgen --rate R` switches from closed-loop to
-//! open-loop (paced arrivals at R jobs/s overall, bursts of B), reporting
-//! goodput within deadline and shed/rejected/degraded/expired counts.
+//! open-loop (paced arrivals at R jobs/s overall, bursts of B, each job
+//! timed from its scheduled arrival), reporting goodput within deadline
+//! and shed/rejected/degraded/expired counts; it combines with `--proxy`,
+//! `--chaos` and hedging. `serve`, `loadgen` and `chaosproxy` refuse any
+//! argument no flag lookup read (unknown, repeated or stray) with a usage
+//! error.
 //!
 //! Every planning command also accepts `--trace FILE`, writing a JSON-lines
 //! event trace (see `gaplan-obs`) that `gaplan trace-report` analyzes.
@@ -67,6 +75,8 @@
 //! STRIPS files use the `gaplan-core` text format; grid files use the
 //! `gaplan-grid` format (see `data/` for samples).
 
+use std::cell::Cell;
+use std::ops::Deref;
 use std::process::exit;
 use std::sync::Arc;
 use std::time::Instant;
@@ -93,27 +103,29 @@ use ga_grid_planner::service::{
 use gaplan_core::{Domain, Plan, SigBuilder};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage("no command") };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = argv.split_first() else { usage("no command") };
+    let args = &Args::new(rest);
     match cmd.as_str() {
-        "strips" => strips_cmd(&args[1..]),
-        "solve" => solve_cmd(&args[1..]),
-        "check" => check_cmd(&args[1..]),
-        "grid" => grid_cmd(&args[1..]),
-        "hanoi" => hanoi_cmd(&args[1..]),
-        "tile" => tile_cmd(&args[1..]),
-        "serve" => serve_cmd(&args[1..]),
-        "loadgen" => loadgen_cmd(&args[1..]),
-        "chaosproxy" => chaosproxy_cmd(&args[1..]),
-        "trace-report" => trace_report_cmd(&args[1..]),
+        "strips" => strips_cmd(args),
+        "solve" => solve_cmd(args),
+        "check" => check_cmd(args),
+        "grid" => grid_cmd(args),
+        "hanoi" => hanoi_cmd(args),
+        "tile" => tile_cmd(args),
+        "serve" => serve_cmd(args),
+        "loadgen" => loadgen_cmd(args),
+        "chaosproxy" => chaosproxy_cmd(args),
+        "trace-report" => trace_report_cmd(args),
         other => usage(&format!("unknown command `{other}`")),
     }
 }
 
-/// Open the `--trace FILE` sink, if requested, as a service-shareable
-/// handle. The file is created eagerly so a bad path fails before planning.
-fn trace_handle(args: &[String]) -> Option<ObsHandle> {
-    let path = flag_value(args, "--trace")?;
+/// Open the trace sink at `path` (the `--trace FILE` value), if given, as
+/// a service-shareable handle. The file is created eagerly so a bad path
+/// fails before planning.
+fn open_trace(path: Option<&str>) -> Option<ObsHandle> {
+    let path = path?;
     let file = std::fs::File::create(path).unwrap_or_else(|e| {
         eprintln!("cannot create trace file {path}: {e}");
         exit(1);
@@ -123,30 +135,72 @@ fn trace_handle(args: &[String]) -> Option<ObsHandle> {
 
 /// Install the `--trace FILE` sink on this thread for the duration of the
 /// returned guard (none when the flag is absent).
-fn install_trace(args: &[String]) -> Option<obs::InstallGuard> {
-    trace_handle(args).map(|h| h.install())
+fn install_trace(args: &Args) -> Option<obs::InstallGuard> {
+    open_trace(flag_value(args, "--trace")).map(|h| h.install())
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage:\n  gaplan strips <file> [--planner ga|bfs|graphplan|forward|backward|hsp2] [--seed N] [--pop N] [--gens N] [--phases N]\n  gaplan solve --domain FILE --problem FILE [--planner ...] [GA flags]    (typed DSL → ground STRIPS → plan)\n  gaplan check --domain FILE [--problem FILE] [--print]    (parse/typecheck/ground only; exit 1 on errors)\n  gaplan grid <file> [--planner ga|greedy] [--simulate] [--overload SITE:TIME:LOAD] [--faults SEED] [--fault-rate F]\n  gaplan hanoi [<disks>] [--disks N] [--single] [--seed N]\n  gaplan tile <side> [--crossover random|state-aware|mixed] [--seed N]\n  gaplan serve [--workers N] [--queue N] [--cache N] [--admission-ms N] [--journal DIR]    (JSON lines on stdin/stdout)\n               [--listen HOST:PORT] [--max-frame BYTES] [--no-coalesce] [--backlog N] [--idle-ms N]    (same protocol over TCP)\n               [--target-ms N] [--brownout F]    (overload control: CoDel + deadline admission at N ms, GA brownout floor F)\n  gaplan loadgen --addr HOST:PORT [--jobs N] [--conns N] [--inflight N] [--keys N] [--skew F] [--deadline-ms N] [--seed N] [--rate R] [--burst B] [--shutdown-after] [--out FILE] [--domain FILE --problem FILE]\n                 [--retry] [--hedge | --hedge-ms N] [--proxy HOST:PORT | --chaos [chaos flags]]    (resilient client / fault injection)\n  gaplan chaosproxy --upstream HOST:PORT [--listen HOST:PORT] [chaos flags]    (standalone fault-injecting proxy)\n    chaos flags: [--chaos-seed N] [--chaos-resets F] [--chaos-cuts F] [--chaos-refuse F] [--chaos-latency-ms N] [--chaos-jitter-ms N] [--chaos-partial F] [--chaos-throttle BYTES_PER_SEC]\n  gaplan trace-report <file> [--top K]\nevery planning command also accepts --trace FILE (JSON-lines event trace)\nGA commands also accept --checkpoint FILE [--checkpoint-gens N] (crash-safe snapshot/resume),\n--islands K [--migrate-every M] [--emigrants E] (island-model GA with deterministic ring migration),\n--no-succ-cache (disable the successor cache; identical plans, slower decode)\nand --succ-cache N (successor-cache capacity in entries, default 65536)"
+        "usage:\n  gaplan strips <file> [--planner ga|bfs|graphplan|forward|backward|hsp2] [--seed N] [--pop N] [--gens N] [--phases N]\n  gaplan solve --domain FILE --problem FILE [--planner ...] [GA flags]    (typed DSL → ground STRIPS → plan)\n  gaplan check --domain FILE [--problem FILE] [--print]    (parse/typecheck/ground only; exit 1 on errors)\n  gaplan grid <file> [--planner ga|greedy] [--simulate] [--overload SITE:TIME:LOAD] [--faults SEED] [--fault-rate F]\n  gaplan hanoi [<disks>] [--disks N] [--single] [--seed N]\n  gaplan tile <side> [--crossover random|state-aware|mixed] [--seed N]\n  gaplan serve [--workers N] [--queue N] [--cache N] [--admission-ms N] [--journal DIR]    (JSON lines on stdin/stdout)\n               [--listen HOST:PORT] [--max-frame BYTES] [--no-coalesce] [--backlog N] [--idle-ms N]    (same protocol over TCP)\n               [--target-ms N] [--brownout F]    (overload control: CoDel + deadline admission at N ms, GA brownout floor F)\n  gaplan loadgen --addr HOST:PORT [--jobs N] [--conns N] [--inflight N] [--keys N] [--skew F] [--deadline-ms N] [--seed N] [--rate R] [--burst B] [--shutdown-after] [--out FILE] [--domain FILE --problem FILE]\n                 [--hedge | --hedge-ms N] [--proxy HOST:PORT | --chaos [chaos flags]]    (hedging / fault injection; combine with either loop)\n  gaplan chaosproxy --upstream HOST:PORT [--listen HOST:PORT] [chaos flags]    (standalone fault-injecting proxy)\n    chaos flags: [--chaos-seed N] [--chaos-resets F] [--chaos-cuts F] [--chaos-refuse F] [--chaos-latency-ms N] [--chaos-jitter-ms N] [--chaos-partial F] [--chaos-throttle BYTES_PER_SEC]\n  gaplan trace-report <file> [--top K]\nevery planning command also accepts --trace FILE (JSON-lines event trace)\nGA commands also accept --checkpoint FILE [--checkpoint-gens N] (crash-safe snapshot/resume),\n--islands K [--migrate-every M] [--emigrants E] (island-model GA with deterministic ring migration),\n--no-succ-cache (disable the successor cache; identical plans, slower decode)\nand --succ-cache N (successor-cache capacity in entries, default 65536)"
     );
     exit(2);
 }
 
-/// The argument after flag `name`, if the flag is given; a flag given as
-/// the last argument, without its value, is a usage error.
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(v) => Some(v),
-        None => usage(&format!("{name} needs a value")),
+/// A command's arguments (after the command name). The flag lookups below
+/// record which arguments they read, so a command can refuse the rest with
+/// [`Args::refuse_unread`].
+struct Args<'a> {
+    args: &'a [String],
+    read: Vec<Cell<bool>>,
+}
+
+impl<'a> Args<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Args { args, read: vec![Cell::new(false); args.len()] }
+    }
+
+    /// Mark `name` (and, for a value flag, its value) read; its index.
+    fn find(&self, name: &str, takes_value: bool) -> Option<usize> {
+        let i = self.args.iter().position(|a| a == name)?;
+        self.read[i].set(true);
+        if takes_value {
+            self.read.get(i + 1).unwrap_or_else(|| usage(&format!("{name} needs a value"))).set(true);
+        }
+        Some(i)
+    }
+
+    /// Refuse any argument no flag lookup has read, so a mistyped, retired
+    /// or repeated flag never silently runs something else. Call it once
+    /// every flag is read and before anything is opened or connected.
+    fn refuse_unread(&self, cmd: &str) {
+        let Some(i) = self.read.iter().position(|r| !r.get()) else { return };
+        let arg = &self.args[i];
+        if self.args[..i].contains(arg) {
+            usage(&format!("{cmd} flag `{arg}` given twice"));
+        }
+        if arg.starts_with("--") {
+            usage(&format!("unknown {cmd} flag `{arg}`"));
+        }
+        usage(&format!("unexpected {cmd} argument `{arg}`"));
     }
 }
 
-fn flag_present(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+impl Deref for Args<'_> {
+    type Target = [String];
+    fn deref(&self) -> &[String] {
+        self.args
+    }
+}
+
+/// The argument after flag `name`, if the flag is given; a flag given as
+/// the last argument, without its value, is a usage error.
+fn flag_value<'a>(args: &Args<'a>, name: &str) -> Option<&'a str> {
+    args.find(name, true).map(|i| args.args[i + 1].as_str())
+}
+
+fn flag_present(args: &Args, name: &str) -> bool {
+    args.find(name, false).is_some()
 }
 
 /// Parse `v`, the value given for `what`; an unparsable value is a usage
@@ -156,11 +210,11 @@ fn parse_arg<T: std::str::FromStr>(what: &str, v: &str) -> T {
 }
 
 /// The parsed value of flag `name`, or `default` when the flag is absent.
-fn flag_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+fn flag_or<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
     flag_value(args, name).map_or(default, |v| parse_arg(name, v))
 }
 
-fn ga_config_from_flags(args: &[String], initial_len: usize) -> GaConfig {
+fn ga_config_from_flags(args: &Args, initial_len: usize) -> GaConfig {
     let defaults = GaConfig::default();
     let cfg = GaConfig {
         population_size: flag_or(args, "--pop", 200),
@@ -193,7 +247,7 @@ fn run_with_checkpoint<D: Domain>(
     domain: &D,
     cfg: GaConfig,
     problem_sig: u64,
-    args: &[String],
+    args: &Args,
 ) -> MultiPhaseResult<D::State> {
     let Some(path) = flag_value(args, "--checkpoint") else {
         return MultiPhase::new(domain, cfg).run();
@@ -264,7 +318,7 @@ fn report_plan<D: Domain>(domain: &D, plan: &Plan, elapsed: f64, extra: &str) {
 /// Plan a ground STRIPS problem with the planner selected by `--planner`
 /// (GA by default, with checkpoint/island/trace flags honored), printing
 /// the plan. Shared by `strips` (legacy text format) and `solve` (DSL).
-fn plan_strips(problem: &gaplan_core::strips::StripsProblem, args: &[String]) {
+fn plan_strips(problem: &gaplan_core::strips::StripsProblem, args: &Args) {
     let planner = flag_value(args, "--planner").unwrap_or("ga");
     let limits = SearchLimits::default();
     let _trace = install_trace(args);
@@ -304,7 +358,7 @@ fn plan_strips(problem: &gaplan_core::strips::StripsProblem, args: &[String]) {
     }
 }
 
-fn strips_cmd(args: &[String]) {
+fn strips_cmd(args: &Args) {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else { usage("strips needs a file") };
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
@@ -326,7 +380,7 @@ fn strips_cmd(args: &[String]) {
 }
 
 /// Read `--domain FILE` and `--problem FILE` sources for `solve`/`check`.
-fn read_dsl_sources(args: &[String], problem_required: bool) -> (String, String, Option<String>) {
+fn read_dsl_sources(args: &Args, problem_required: bool) -> (String, String, Option<String>) {
     let Some(dpath) = flag_value(args, "--domain") else { usage("needs --domain FILE") };
     let dsrc = std::fs::read_to_string(dpath).unwrap_or_else(|e| {
         eprintln!("cannot read {dpath}: {e}");
@@ -345,7 +399,7 @@ fn read_dsl_sources(args: &[String], problem_required: bool) -> (String, String,
     (dpath.to_string(), dsrc, psrc)
 }
 
-fn solve_cmd(args: &[String]) {
+fn solve_cmd(args: &Args) {
     let (dpath, dsrc, psrc) = read_dsl_sources(args, true);
     let ppath = flag_value(args, "--problem").unwrap().to_string();
     let psrc = psrc.unwrap();
@@ -367,7 +421,7 @@ fn solve_cmd(args: &[String]) {
     plan_strips(&compiled.strips, args);
 }
 
-fn check_cmd(args: &[String]) {
+fn check_cmd(args: &Args) {
     let (dpath, dsrc, psrc) = read_dsl_sources(args, false);
     match psrc {
         // Full pipeline: parse both, typecheck, ground.
@@ -419,7 +473,7 @@ fn check_cmd(args: &[String]) {
     }
 }
 
-fn grid_cmd(args: &[String]) {
+fn grid_cmd(args: &Args) {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else { usage("grid needs a file") };
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
@@ -563,60 +617,38 @@ fn grid_cmd(args: &[String]) {
     }
 }
 
-/// Flags `serve` takes a value for; `--no-coalesce` is its one boolean
-/// flag. Anything else is a usage error, so a mistyped or retired flag
-/// never silently runs a different policy.
-const SERVE_VALUE_FLAGS: &[&str] = &[
-    "--workers",
-    "--queue",
-    "--cache",
-    "--admission-ms",
-    "--journal",
-    "--listen",
-    "--max-frame",
-    "--backlog",
-    "--idle-ms",
-    "--target-ms",
-    "--brownout",
-    "--trace",
-];
-
-fn serve_cmd(args: &[String]) {
-    let mut rest = args;
-    while let Some((flag, tail)) = rest.split_first() {
-        rest = match flag.as_str() {
-            "--no-coalesce" => tail,
-            f if SERVE_VALUE_FLAGS.contains(&f) => tail.get(1..).unwrap_or_default(),
-            f => usage(&format!("unknown serve flag `{f}`")),
-        };
-    }
+fn serve_cmd(args: &Args) {
     let brownout: f64 = flag_or(args, "--brownout", 1.0);
     if !(0.0..=1.0).contains(&brownout) {
         usage("--brownout F must be in [0, 1] (0 or 1 disables brownout)");
     }
-    let cfg = ServiceConfig {
+    let mut cfg = ServiceConfig {
         workers: flag_or(args, "--workers", 2),
         queue_capacity: flag_or(args, "--queue", 64),
         cache_capacity: flag_or(args, "--cache", 128),
         admission_timeout: std::time::Duration::from_millis(flag_or(args, "--admission-ms", 0)),
         overload: OverloadConfig { codel_target_ms: flag_or(args, "--target-ms", 0), brownout_floor: brownout },
-        obs: trace_handle(args),
+        obs: None,
     };
-    let journal = flag_value(args, "--journal").map(|dir| {
+    let idle_ms: u64 = flag_or(args, "--idle-ms", 300_000);
+    let opts = NetOptions {
+        max_frame: flag_or(args, "--max-frame", gaplan_net::DEFAULT_MAX_FRAME),
+        coalesce: !flag_present(args, "--no-coalesce"),
+        backlog_limit: flag_or(args, "--backlog", 1024),
+        idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms)),
+    };
+    let (trace, journal_dir, listen) =
+        (flag_value(args, "--trace"), flag_value(args, "--journal"), flag_value(args, "--listen"));
+    args.refuse_unread("serve");
+    cfg.obs = open_trace(trace);
+    let journal = journal_dir.map(|dir| {
         let storage: Arc<dyn Storage> = Arc::new(FsStorage::new(dir).unwrap_or_else(|e| {
             eprintln!("cannot open journal directory {dir}: {e}");
             exit(1);
         }));
         JobJournal::new(storage)
     });
-    if let Some(addr) = flag_value(args, "--listen") {
-        let idle_ms: u64 = flag_or(args, "--idle-ms", 300_000);
-        let opts = NetOptions {
-            max_frame: flag_or(args, "--max-frame", gaplan_net::DEFAULT_MAX_FRAME),
-            coalesce: !flag_present(args, "--no-coalesce"),
-            backlog_limit: flag_or(args, "--backlog", 1024),
-            idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms)),
-        };
+    if let Some(addr) = listen {
         let server = TcpServer::bind(cfg, journal, opts, addr).unwrap_or_else(|e| {
             eprintln!("serve: cannot listen on {addr}: {e}");
             exit(1);
@@ -637,8 +669,11 @@ fn serve_cmd(args: &[String]) {
     }
 }
 
-fn loadgen_cmd(args: &[String]) {
+fn loadgen_cmd(args: &Args) {
     let Some(addr) = flag_value(args, "--addr") else { usage("loadgen needs --addr HOST:PORT") };
+    // Read (and so accepted) even without --chaos; the proxy upstream is
+    // filled in by loadgen::run with --addr.
+    let chaos = chaos_cfg_from_flags(args, String::new());
     let cfg = LoadgenConfig {
         addr: addr.to_string(),
         jobs: flag_or(args, "--jobs", 100_000),
@@ -665,15 +700,15 @@ fn loadgen_cmd(args: &[String]) {
             _ => usage("loadgen --domain and --problem must be given together"),
         },
         proxy: flag_value(args, "--proxy").map(str::to_string),
-        // The proxy upstream is filled in by loadgen::run with --addr.
-        chaos: flag_present(args, "--chaos").then(|| chaos_cfg_from_flags(args, String::new())),
-        resilient: flag_present(args, "--retry"),
-        hedge: match flag_value(args, "--hedge-ms") {
-            Some(ms) => HedgeMode::After(parse_arg("--hedge-ms", ms)),
-            None if flag_present(args, "--hedge") => HedgeMode::AutoP99 { floor_ms: 10 },
-            None => HedgeMode::Off,
+        chaos: flag_present(args, "--chaos").then_some(chaos),
+        hedge: match (flag_value(args, "--hedge-ms"), flag_present(args, "--hedge")) {
+            (Some(ms), _) => HedgeMode::After(parse_arg("--hedge-ms", ms)),
+            (None, true) => HedgeMode::AutoP99 { floor_ms: 10 },
+            (None, false) => HedgeMode::Off,
         },
     };
+    let out = flag_value(args, "--out").unwrap_or("BENCH_service.json");
+    args.refuse_unread("loadgen");
     let report = gaplan_net::loadgen::run(&cfg).unwrap_or_else(|e| {
         eprintln!("loadgen: {e}");
         exit(1);
@@ -714,31 +749,14 @@ fn loadgen_cmd(args: &[String]) {
             String::new()
         }
     );
-    if cfg.resilient || cfg.proxy.is_some() || cfg.chaos.is_some() || cfg.hedge != HedgeMode::Off {
-        println!(
-            "loadgen: retries {}, reconnects {}, hedges {} (won {}), breaker opens {}, duplicates {}",
-            report.client_retries,
-            report.client_reconnects,
-            report.client_hedges,
-            report.hedges_won,
-            report.breaker_opens,
-            report.duplicates
-        );
-    }
+    let client = &report.client;
+    println!(
+        "loadgen: retries {}, reconnects {}, hedges {} (won {}), breaker opens {}, duplicates {}",
+        client.retries, client.reconnects, client.hedges, client.hedges_won, client.breaker_opens, report.duplicates
+    );
     if cfg.chaos.is_some() {
-        println!(
-            "chaosproxy: conns {} refused {} resets {} cuts {} delays {} ({} ms) partial {} throttled {}",
-            report.proxy_conns,
-            report.proxy_refused,
-            report.proxy_resets,
-            report.proxy_cuts,
-            report.proxy_delays,
-            report.proxy_delay_ms,
-            report.proxy_partial_writes,
-            report.proxy_throttle_sleeps
-        );
+        println!("{}", report.proxy);
     }
-    let out = flag_value(args, "--out").unwrap_or("BENCH_service.json");
     if let Err(e) = gaplan_net::loadgen::write_report(std::path::Path::new(out), &report) {
         eprintln!("loadgen: cannot write {out}: {e}");
         exit(1);
@@ -750,7 +768,7 @@ fn loadgen_cmd(args: &[String]) {
 }
 
 /// Build a [`ChaosConfig`] from the shared `--chaos-*` flags.
-fn chaos_cfg_from_flags(args: &[String], upstream: String) -> ChaosConfig {
+fn chaos_cfg_from_flags(args: &Args, upstream: String) -> ChaosConfig {
     ChaosConfig {
         upstream,
         seed: flag_or(args, "--chaos-seed", 42),
@@ -767,10 +785,11 @@ fn chaos_cfg_from_flags(args: &[String], upstream: String) -> ChaosConfig {
 /// Standalone fault-injecting proxy: forwards `--listen` to `--upstream`
 /// with the configured toxics until killed, printing its stats line every
 /// 10 seconds on stderr.
-fn chaosproxy_cmd(args: &[String]) {
+fn chaosproxy_cmd(args: &Args) {
     let Some(upstream) = flag_value(args, "--upstream") else { usage("chaosproxy needs --upstream HOST:PORT") };
     let listen = flag_value(args, "--listen").unwrap_or("127.0.0.1:0");
     let cfg = chaos_cfg_from_flags(args, upstream.to_string());
+    args.refuse_unread("chaosproxy");
     let proxy = ChaosProxy::start(listen, cfg).unwrap_or_else(|e| {
         eprintln!("chaosproxy: cannot listen on {listen}: {e}");
         exit(1);
@@ -778,11 +797,11 @@ fn chaosproxy_cmd(args: &[String]) {
     eprintln!("gaplan: chaosproxy listening on {} -> {}", proxy.local_addr(), upstream);
     loop {
         std::thread::sleep(std::time::Duration::from_secs(10));
-        eprintln!("{}", proxy.stats_line());
+        eprintln!("{}", proxy.stats());
     }
 }
 
-fn hanoi_cmd(args: &[String]) {
+fn hanoi_cmd(args: &Args) {
     // Disk count: positional (`gaplan hanoi 5`) or `--disks 5`.
     let positional = args.first().filter(|a| !a.starts_with("--")).map(String::as_str);
     let n: usize = flag_value(args, "--disks").or(positional).map_or(5, |v| parse_arg("disk count", v));
@@ -813,7 +832,7 @@ fn hanoi_cmd(args: &[String]) {
     println!("{}", hanoi.render(&r.final_state));
 }
 
-fn tile_cmd(args: &[String]) {
+fn tile_cmd(args: &Args) {
     let positional = args.first().filter(|a| !a.starts_with("--"));
     let n: usize = positional.map_or(3, |v| parse_arg("tile side", v));
     let seed: u64 = flag_or(args, "--seed", 2003);
@@ -849,7 +868,7 @@ fn tile_cmd(args: &[String]) {
     println!("final state:\n{}", puzzle.render(&r.final_state));
 }
 
-fn trace_report_cmd(args: &[String]) {
+fn trace_report_cmd(args: &Args) {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else { usage("trace-report needs a file") };
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");

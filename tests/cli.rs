@@ -132,6 +132,22 @@ fn unknown_serve_flag_is_a_usage_error() {
 }
 
 #[test]
+fn unknown_loadgen_and_chaosproxy_flags_are_usage_errors() {
+    // Port 9 has no server: a usage error must come before any connect.
+    let addr = ["loadgen", "--addr", "127.0.0.1:9"];
+    assert_usage_error(&[&addr[..], &["--rat", "50"]].concat(), "unknown loadgen flag `--rat`");
+    // The retired `--retry` is refused, not silently ignored.
+    assert_usage_error(&[&addr[..], &["--retry"]].concat(), "unknown loadgen flag `--retry`");
+    // A repeated flag or a stray argument is refused too.
+    assert_usage_error(&[&addr[..], &["--jobs", "1", "--jobs", "2"]].concat(), "loadgen flag `--jobs` given twice");
+    assert_usage_error(&[&addr[..], &["--jobs", "1", "2"]].concat(), "unexpected loadgen argument `2`");
+    assert_usage_error(
+        &["chaosproxy", "--upstream", "127.0.0.1:9", "--chaos-reset", "0.1"],
+        "unknown chaosproxy flag `--chaos-reset`",
+    );
+}
+
+#[test]
 fn missing_file_fails_cleanly() {
     let (ok, text) = run(&["strips", "data/nonexistent.strips"]);
     assert!(!ok);
