@@ -16,7 +16,7 @@ mod problem;
 
 pub use condset::CondSet;
 pub use parser::parse_strips;
-pub use problem::{GoalFitnessMode, StripsBuilder, StripsOp, StripsProblem};
+pub use problem::{StripsBuilder, StripsOp, StripsProblem};
 
 /// Identifier of a ground atomic condition within a [`StripsProblem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -24,19 +24,6 @@ pub struct StripsOp {
     pub cost: f64,
 }
 
-/// How [`StripsProblem::goal_fitness`] scores non-goal states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GoalFitnessMode {
-    /// Fraction of goal conditions satisfied (uniform weights). This is the
-    /// generic analogue of the paper's per-disk-weighted Hanoi fitness.
-    #[default]
-    FractionSatisfied,
-    /// All-or-nothing: 1.0 on goal states, 0.0 otherwise. Useful to expose
-    /// how much the GA depends on a graded fitness signal (paper §4.1
-    /// discusses exactly this sensitivity).
-    Exact,
-}
-
 /// A ground STRIPS planning problem.
 ///
 /// Implements [`Domain`] with `State = CondSet`, so every planner in the
@@ -47,7 +34,6 @@ pub struct StripsProblem {
     ops: Vec<StripsOp>,
     init: CondSet,
     goal: CondSet,
-    fitness_mode: GoalFitnessMode,
     /// Every operator's precondition words in one row-major matrix, row `i`
     /// being `ops[i].pre`, `stride` words per row. Successor generation
     /// scans this instead of chasing one heap-allocated set per operator.
@@ -87,14 +73,9 @@ impl StripsProblem {
         &self.goal
     }
 
-    /// Select how non-goal states are scored.
-    pub fn set_fitness_mode(&mut self, mode: GoalFitnessMode) {
-        self.fitness_mode = mode;
-    }
-
     /// Stable 64-bit signature of the *semantic content* of this problem:
     /// conditions, operators (names, pre/add/del sets, costs), initial
-    /// state, goal, fitness mode and goal weights. Two problems built the
+    /// state, goal and goal weights. Two problems built the
     /// same way hash the same across runs and processes; changing any of
     /// the above changes the signature. Used by the planning service as
     /// (part of) its plan-cache key.
@@ -124,7 +105,9 @@ impl StripsProblem {
         for c in self.goal.iter() {
             s.u32(c.0);
         }
-        s.tag("fitness").bool(self.fitness_mode == GoalFitnessMode::Exact);
+        // Goal fitness is always the weighted fraction satisfied; the tag
+        // keeps its old `false` so existing signatures do not move.
+        s.tag("fitness").bool(false);
         // hash weights in goal-iteration order (deterministic), not map order
         s.tag("weights");
         for &(_, w) in &self.goal_terms {
@@ -180,23 +163,14 @@ impl Domain for StripsProblem {
         self.goal.is_subset_of(state)
     }
 
+    /// Weighted fraction of goal conditions satisfied: the generic analogue
+    /// of the paper's per-disk-weighted Hanoi fitness.
     fn goal_fitness(&self, state: &CondSet) -> f64 {
-        match self.fitness_mode {
-            GoalFitnessMode::Exact => {
-                if self.goal.is_subset_of(state) {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            GoalFitnessMode::FractionSatisfied => {
-                if self.goal_total == 0.0 {
-                    return 1.0; // empty goal: every state is a goal state
-                }
-                let satisfied: f64 = self.goal_terms.iter().filter(|&&(c, _)| state.contains(c)).map(|&(_, w)| w).sum();
-                satisfied / self.goal_total
-            }
+        if self.goal_total == 0.0 {
+            return 1.0; // empty goal: every state is a goal state
         }
+        let satisfied: f64 = self.goal_terms.iter().filter(|&&(c, _)| state.contains(c)).map(|&(_, w)| w).sum();
+        satisfied / self.goal_total
     }
 
     fn op_cost(&self, op: OpId) -> f64 {
@@ -326,7 +300,6 @@ impl StripsBuilder {
             ops,
             init: mk(&self.init),
             goal,
-            fitness_mode: GoalFitnessMode::default(),
             pre_words,
             stride,
             goal_terms,
@@ -418,13 +391,6 @@ mod tests {
         let p = b.build().unwrap();
         let s1 = p.apply(&p.initial_state(), OpId(0)); // x satisfied
         assert!((p.goal_fitness(&s1) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn exact_fitness_mode_is_all_or_nothing() {
-        let mut p = robot();
-        p.set_fitness_mode(GoalFitnessMode::Exact);
-        assert_eq!(p.goal_fitness(&p.initial_state()), 0.0);
     }
 
     #[test]

@@ -60,6 +60,8 @@ pub use metrics::{BucketCount, HistogramSummary, Metric, Metrics, MetricsSnapsho
 pub use overload::{OverloadConfig, OverloadControl};
 pub use proto::{parse_command, serve, serve_with_journal, Command, ProtoError};
 pub use replan::ServiceReplanner;
-pub use request::{BuiltProblem, GaOverrides, JobStatus, PlanRequest, PlanResponse, ProblemSpec, SolveOutcome};
+pub use request::{
+    BuiltProblem, GaOverrides, JobStatus, PlanRequest, PlanResponse, ProblemSpec, SolveOutcome, DEFAULT_SEED,
+};
 pub use service::{ObsHandle, PlanService, ServiceConfig, ServiceError, SubmitError};
 pub use session::{LineOutcome, Session, SessionHost};

@@ -3,10 +3,11 @@
 //!
 //! A [`PlanRequest`] names a problem ([`ProblemSpec`]) plus optional GA
 //! overrides and a deadline. Workers build the spec into a [`BuiltProblem`]
-//! (the concrete `Domain` value), resolve the effective [`GaConfig`] by
-//! mirroring the `gaplan` CLI's per-domain defaults, and run the multi-phase
-//! GA under a [`Budget`]. The pair (problem signature, config signature)
-//! keys the plan cache.
+//! (the concrete `Domain` value), resolve the effective [`GaConfig`] with
+//! [`GaOverrides::resolve`] over [`BuiltProblem::default_config`], and run
+//! the multi-phase GA under a [`Budget`]. The pair (problem signature,
+//! config signature) keys the plan cache. The `gaplan` CLI's planning
+//! commands build, resolve and sign their problems through the same calls.
 
 use std::sync::Arc;
 
@@ -186,9 +187,11 @@ impl BuiltProblem {
         }
     }
 
-    /// The GA configuration the `gaplan` CLI would use for this problem
-    /// when no flags are given. Overrides from the request are applied on
-    /// top of this by [`GaOverrides::apply`].
+    /// The problem's GA defaults: the paper's run shape (see
+    /// `base_config`) with the initial length its domain calls reasonable,
+    /// multi-phase Hanoi, mixed crossover for tiles and cost-aware grid
+    /// plans. Requests and CLI flags go on top through
+    /// [`GaOverrides::resolve`].
     pub fn default_config(&self) -> GaConfig {
         match self {
             BuiltProblem::Hanoi { domain, .. } => base_config(domain.optimal_len()).multi_phase(),
@@ -256,17 +259,15 @@ impl BuiltProblem {
     }
 }
 
-/// Shared per-domain defaults mirroring the CLI's `ga_config_from_flags`.
+/// The GA seed of every default config, and the `gaplan tile` shuffle seed
+/// when `--seed` is absent.
+pub const DEFAULT_SEED: u64 = 2003;
+
+/// The run shape every domain shares: [`GaConfig::default`]'s 200
+/// individuals and 5 phases of 100 generations, [`DEFAULT_SEED`], and
+/// `MaxLen` = 5 × the initial length.
 fn base_config(initial_len: usize) -> GaConfig {
-    GaConfig {
-        population_size: 200,
-        generations_per_phase: 100,
-        max_phases: 5,
-        initial_len,
-        max_len: 5 * initial_len,
-        seed: 2003,
-        ..GaConfig::default()
-    }
+    GaConfig { initial_len, max_len: 5 * initial_len, seed: DEFAULT_SEED, ..GaConfig::default() }
 }
 
 fn run_on(
@@ -308,19 +309,18 @@ pub struct SolveOutcome {
     pub stopped: Option<StopCause>,
 }
 
-/// Most genes one generation of an overridden request may hold
-/// (`population × max_len`): 16 Mi, above the default config of every
-/// Hanoi instance up to 14 disks. A wire request cannot claim more memory
-/// than this, since an allocation failure is no panic a worker can catch.
+/// Most genes one generation may hold (`population × max_len`): 16 Mi,
+/// above the default config of every Hanoi instance up to 14 disks. No
+/// request or CLI run may claim more memory than this, since an allocation
+/// failure is no panic a worker can catch.
 pub const MAX_GENES_PER_GENERATION: u64 = 1 << 24;
 
-/// Most generations an overridden request may run in total
-/// (`generations × phases`).
+/// Most generations one run may take in total (`generations × phases`).
 pub const MAX_TOTAL_GENERATIONS: u64 = 1 << 16;
 
 /// Per-request GA overrides. Every field is optional; missing fields keep
 /// the domain's default (see [`BuiltProblem::default_config`]).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct GaOverrides {
     /// Population size per phase.
     pub population: Option<usize>,
@@ -337,9 +337,9 @@ pub struct GaOverrides {
 }
 
 impl GaOverrides {
-    /// Apply the overrides on top of `cfg`. When `initial_len` is
-    /// overridden but `max_len` is not, `max_len` is re-derived as
-    /// `5 * initial_len` to keep the CLI's invariant.
+    /// Apply the overrides on top of `cfg`, without the size limits (see
+    /// [`GaOverrides::resolve`]). When `initial_len` is overridden but
+    /// `max_len` is not, `max_len` is re-derived as `5 * initial_len`.
     pub fn apply(&self, mut cfg: GaConfig) -> GaConfig {
         if let Some(p) = self.population {
             cfg.population_size = p.max(2);
@@ -365,25 +365,29 @@ impl GaOverrides {
         cfg
     }
 
-    /// [`GaOverrides::apply`], refusing a run larger than
-    /// [`MAX_GENES_PER_GENERATION`] or [`MAX_TOTAL_GENERATIONS`]. The
-    /// error names the limit.
+    /// The one way a run's [`GaConfig`] is made: [`GaOverrides::apply`]
+    /// over `defaults`, refusing a config that fails
+    /// [`GaConfig::validate`] or is larger than
+    /// [`MAX_GENES_PER_GENERATION`] or [`MAX_TOTAL_GENERATIONS`]. Absent
+    /// overrides resolve as `GaOverrides::default()`, so the limits hold
+    /// for default configs too. The error names the limit.
     pub fn resolve(&self, defaults: GaConfig) -> Result<GaConfig, String> {
         let cfg = self.apply(defaults);
         let genes = (cfg.population_size as u64).saturating_mul(cfg.max_len as u64);
         if genes > MAX_GENES_PER_GENERATION {
             return Err(format!(
-                "ga overrides ask for {genes} genes per generation (population × max_len); \
+                "the GA config asks for {genes} genes per generation (population × max_len); \
                  the limit is {MAX_GENES_PER_GENERATION}"
             ));
         }
         let generations = u64::from(cfg.generations_per_phase) * u64::from(cfg.max_phases);
         if generations > MAX_TOTAL_GENERATIONS {
             return Err(format!(
-                "ga overrides ask for {generations} generations (generations × phases); \
+                "the GA config asks for {generations} generations (generations × phases); \
                  the limit is {MAX_TOTAL_GENERATIONS}"
             ));
         }
+        cfg.validate().map_err(|e| format!("invalid GA configuration: {e}"))?;
         Ok(cfg)
     }
 }
@@ -408,16 +412,13 @@ impl PlanRequest {
     /// The plan-cache key this request's run would be stored under,
     /// mirroring the worker's `PlanCache::key(built.signature(),
     /// cfg.signature())`. `None` when the request can never be cached
-    /// (chaos jobs, unbuildable specs, overrides past the size limits).
+    /// (chaos jobs, unbuildable specs, configs past the size limits).
     pub fn cache_key(&self) -> Option<u64> {
         if matches!(self.problem, ProblemSpec::Chaos { .. }) {
             return None;
         }
         let built = self.problem.build().ok()?;
-        let cfg = match &self.ga {
-            Some(overrides) => overrides.resolve(built.default_config()).ok()?,
-            None => built.default_config(),
-        };
+        let cfg = self.ga.unwrap_or_default().resolve(built.default_config()).ok()?;
         Some(crate::cache::PlanCache::key(built.signature(), cfg.signature()))
     }
 

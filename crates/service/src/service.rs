@@ -162,7 +162,8 @@ impl From<ServiceError> for std::io::Error {
 }
 
 /// What a worker plans: a wire-level spec, or an in-process grid world with
-/// a fully resolved config (the replanning path).
+/// its own defaults (the replanning path). Both resolve through
+/// [`GaOverrides::resolve`], so the size limits hold for either.
 enum JobProblem {
     Spec(ProblemSpec),
     Grid(Box<GridWorld>, Box<GaConfig>),
@@ -171,7 +172,7 @@ enum JobProblem {
 struct Job {
     id: u64,
     problem: JobProblem,
-    overrides: Option<GaOverrides>,
+    overrides: GaOverrides,
     deadline: Option<Instant>,
     submitted_at: Instant,
     token: CancelToken,
@@ -344,7 +345,7 @@ impl PlanService {
         self.enqueue(Job {
             id,
             problem: JobProblem::Spec(problem),
-            overrides: ga,
+            overrides: ga.unwrap_or_default(),
             deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
             submitted_at: Instant::now(),
             token: CancelToken::new(),
@@ -352,7 +353,7 @@ impl PlanService {
         })
     }
 
-    /// Submit an in-process grid world with a fully resolved GA config —
+    /// Submit an in-process grid world with a complete GA config —
     /// the replanning path used by [`crate::ServiceReplanner`]. The caller
     /// supplies its own reply channel.
     pub fn submit_grid(
@@ -366,7 +367,7 @@ impl PlanService {
         self.enqueue(Job {
             id,
             problem: JobProblem::Grid(Box::new(world), Box::new(cfg)),
-            overrides: None,
+            overrides: GaOverrides::default(),
             deadline: deadline.map(|d| Instant::now() + d),
             submitted_at: Instant::now(),
             token: CancelToken::new(),
@@ -724,21 +725,19 @@ fn failed_job(job: &Job, shared: &Shared, msg: String) -> PlanResponse {
 }
 
 fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
-    let (built, cfg) = match &job.problem {
+    let (built, defaults) = match &job.problem {
         JobProblem::Spec(spec) => match spec.build_with(Some(&shared.metrics)) {
             Ok(built) => {
                 let defaults = built.default_config();
-                match &job.overrides {
-                    Some(ov) => match ov.resolve(defaults) {
-                        Ok(cfg) => (built, cfg),
-                        Err(msg) => return failed_job(job, shared, msg),
-                    },
-                    None => (built, defaults),
-                }
+                (built, defaults)
             }
             Err(msg) => return failed_job(job, shared, msg),
         },
         JobProblem::Grid(world, cfg) => (crate::request::BuiltProblem::Grid(world.clone()), cfg.as_ref().clone()),
+    };
+    let cfg = match job.overrides.resolve(defaults) {
+        Ok(cfg) => cfg,
+        Err(msg) => return failed_job(job, shared, msg),
     };
 
     if let crate::request::BuiltProblem::Chaos { fail_attempts, .. } = &built {

@@ -2,15 +2,14 @@
 //!
 //! ```text
 //! gaplan strips <file> [--planner ga|bfs|graphplan|forward|backward|hsp2]
-//!                      [--seed N] [--pop N] [--gens N] [--phases N]
-//!                      [--islands K] [--migrate-every M] [--emigrants E]
+//!                      [GA flags]
 //! gaplan solve  --domain FILE --problem FILE [--planner ...] [GA flags]
 //! gaplan check  --domain FILE [--problem FILE] [--print]
 //! gaplan grid   <file> [--planner ga|greedy] [--simulate]
 //!                      [--overload SITE:TIME:LOAD] [--faults SEED]
-//!                      [--fault-rate F]
-//! gaplan hanoi  [<disks>] [--disks N] [--single] [--seed N]
-//! gaplan tile   <side>  [--crossover random|state-aware|mixed] [--seed N]
+//!                      [--fault-rate F] [GA flags]
+//! gaplan hanoi  [<disks> | --disks N] [--single] [GA flags]
+//! gaplan tile   [<side>] [--crossover random|state-aware|mixed] [GA flags]
 //! gaplan serve  [--workers N] [--queue N] [--cache N]
 //!               [--admission-ms N] [--journal DIR]
 //!               [--listen HOST:PORT] [--max-frame BYTES] [--no-coalesce]
@@ -22,7 +21,21 @@
 //!               [--proxy HOST:PORT | --chaos [chaos flags]]
 //! gaplan chaosproxy --upstream HOST:PORT [--listen HOST:PORT] [chaos flags]
 //! gaplan trace-report <file> [--top K]
+//!
+//! GA flags: [--seed N] [--pop N] [--gens N] [--phases N]
+//!           [--islands K [--migrate-every M] [--emigrants E]]
+//!           [--checkpoint FILE [--checkpoint-gens N]]
+//!           [--no-succ-cache] [--succ-cache N] [--trace FILE]
 //! ```
+//!
+//! The planning commands share the service's problem model: `hanoi` and
+//! `tile` build a `ProblemSpec` (with its range checks), `strips`, `solve`
+//! and `grid` wrap what they parse in a `BuiltProblem`, and every GA run
+//! starts from `BuiltProblem::default_config`. `--pop/--gens/--phases/--seed`
+//! are the wire request's `ga` overrides, resolved by the same size-checked
+//! `GaOverrides::resolve` (after `--single`/`--crossover`), so a run the
+//! service would refuse is refused here too. Checkpoints are keyed by
+//! `BuiltProblem::signature`. GA flags are read under every `--planner`.
 //!
 //! `serve` without `--listen` speaks JSON lines on stdin/stdout; with
 //! `--listen` it serves the same protocol over TCP (thread per connection,
@@ -46,25 +59,19 @@
 //! open-loop (paced arrivals at R jobs/s overall, bursts of B, each job
 //! timed from its scheduled arrival), reporting goodput within deadline
 //! and shed/rejected/degraded/expired counts; it combines with `--proxy`,
-//! `--chaos` and hedging. `serve`, `loadgen` and `chaosproxy` refuse any
-//! argument no flag lookup read (unknown, repeated or stray) with a usage
-//! error.
+//! `--chaos` and hedging. Every command refuses any argument no flag lookup
+//! read (unknown, repeated or stray) with a usage error, before it opens a
+//! file, trace, checkpoint or socket.
 //!
-//! Every planning command also accepts `--trace FILE`, writing a JSON-lines
-//! event trace (see `gaplan-obs`) that `gaplan trace-report` analyzes.
-//!
-//! GA commands accept `--islands K [--migrate-every M] [--emigrants E]`: the
-//! population is split into K independently-seeded islands with
-//! deterministic ring migration of the top E individuals every M
-//! generations (`--islands 1`, the default, is byte-identical to the
-//! pre-island engine — see DESIGN.md §13).
-//!
-//! GA commands accept `--checkpoint FILE [--checkpoint-gens N]`: the run
-//! snapshots its full state to FILE after every phase (and every N
-//! generations within a phase when N > 0), resumes from an existing FILE
-//! bitwise-identically, and deletes FILE on completion. `serve --journal DIR`
-//! write-ahead journals every accepted job and terminal reply under DIR, so
-//! a killed service replays unfinished work on restart (see `gaplan-durable`).
+//! Of the other GA flags, `--trace FILE` writes a JSON-lines event trace
+//! (see `gaplan-obs`) that `gaplan trace-report` analyzes; `--islands K`
+//! splits the population into K seeded islands with ring migration of the
+//! top E every M generations (`--islands 1`, the default, is byte-identical
+//! to the pre-island engine; DESIGN.md §13); `--checkpoint FILE` snapshots
+//! the run after every phase (and every N generations when N > 0), resumes
+//! from an existing FILE bitwise-identically and deletes FILE on completion.
+//! `serve --journal DIR` write-ahead journals every accepted job and reply
+//! under DIR, so a killed service replays unfinished work on restart.
 //!
 //! `solve` compiles a typed-DSL domain/problem pair (see `gaplan-lang` and
 //! DESIGN.md §14) into ground STRIPS and plans it with the same planners and
@@ -76,7 +83,6 @@
 //! `gaplan-grid` format (see `data/` for samples).
 
 use std::cell::Cell;
-use std::ops::Deref;
 use std::process::exit;
 use std::sync::Arc;
 use std::time::Instant;
@@ -84,11 +90,8 @@ use std::time::Instant;
 use ga_grid_planner::baselines::{
     backward_chain, bfs, forward_chain, graphplan, greedy_best_first, HAdd, SearchLimits,
 };
-use ga_grid_planner::domains::{Hanoi, SlidingTile};
 use ga_grid_planner::durable::{load_snapshot, save_snapshot, FsStorage, Storage};
-use ga_grid_planner::ga::{
-    CostFitnessMode, CrossoverKind, GaConfig, MultiPhase, MultiPhaseCheckpoint, MultiPhaseResult,
-};
+use ga_grid_planner::ga::{CrossoverKind, GaConfig, MultiPhase, MultiPhaseCheckpoint, MultiPhaseResult};
 use ga_grid_planner::grid::{
     chaos_schedule, greedy_plan, parse_grid, ActivityGraph, Coordinator, ExternalEvent, FaultPlan, ReplanPolicy,
 };
@@ -98,9 +101,11 @@ use ga_grid_planner::net::{
 };
 use ga_grid_planner::obs;
 use ga_grid_planner::service::{
-    serve_with_journal, JobJournal, Metric, ObsHandle, OverloadConfig, PlanService, ServiceConfig, ServiceReplanner,
+    serve_with_journal, BuiltProblem, GaOverrides, JobJournal, Metric, ObsHandle, OverloadConfig, PlanService,
+    ProblemSpec, ServiceConfig, ServiceReplanner, DEFAULT_SEED,
 };
-use gaplan_core::{Domain, Plan, SigBuilder};
+use gaplan_core::strips::StripsProblem;
+use gaplan_core::{Domain, Plan};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -133,16 +138,18 @@ fn open_trace(path: Option<&str>) -> Option<ObsHandle> {
     Some(ObsHandle::new(Arc::new(obs::JsonlSink::new(std::io::BufWriter::new(file)))))
 }
 
-/// Install the `--trace FILE` sink on this thread for the duration of the
-/// returned guard (none when the flag is absent).
-fn install_trace(args: &Args) -> Option<obs::InstallGuard> {
-    open_trace(flag_value(args, "--trace")).map(|h| h.install())
+/// The contents of `path`; an unreadable file exits 1.
+fn read_file(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        exit(1);
+    })
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage:\n  gaplan strips <file> [--planner ga|bfs|graphplan|forward|backward|hsp2] [--seed N] [--pop N] [--gens N] [--phases N]\n  gaplan solve --domain FILE --problem FILE [--planner ...] [GA flags]    (typed DSL → ground STRIPS → plan)\n  gaplan check --domain FILE [--problem FILE] [--print]    (parse/typecheck/ground only; exit 1 on errors)\n  gaplan grid <file> [--planner ga|greedy] [--simulate] [--overload SITE:TIME:LOAD] [--faults SEED] [--fault-rate F]\n  gaplan hanoi [<disks>] [--disks N] [--single] [--seed N]\n  gaplan tile <side> [--crossover random|state-aware|mixed] [--seed N]\n  gaplan serve [--workers N] [--queue N] [--cache N] [--admission-ms N] [--journal DIR]    (JSON lines on stdin/stdout)\n               [--listen HOST:PORT] [--max-frame BYTES] [--no-coalesce] [--backlog N] [--idle-ms N]    (same protocol over TCP)\n               [--target-ms N] [--brownout F]    (overload control: CoDel + deadline admission at N ms, GA brownout floor F)\n  gaplan loadgen --addr HOST:PORT [--jobs N] [--conns N] [--inflight N] [--keys N] [--skew F] [--deadline-ms N] [--seed N] [--rate R] [--burst B] [--shutdown-after] [--out FILE] [--domain FILE --problem FILE]\n                 [--hedge | --hedge-ms N] [--proxy HOST:PORT | --chaos [chaos flags]]    (hedging / fault injection; combine with either loop)\n  gaplan chaosproxy --upstream HOST:PORT [--listen HOST:PORT] [chaos flags]    (standalone fault-injecting proxy)\n    chaos flags: [--chaos-seed N] [--chaos-resets F] [--chaos-cuts F] [--chaos-refuse F] [--chaos-latency-ms N] [--chaos-jitter-ms N] [--chaos-partial F] [--chaos-throttle BYTES_PER_SEC]\n  gaplan trace-report <file> [--top K]\nevery planning command also accepts --trace FILE (JSON-lines event trace)\nGA commands also accept --checkpoint FILE [--checkpoint-gens N] (crash-safe snapshot/resume),\n--islands K [--migrate-every M] [--emigrants E] (island-model GA with deterministic ring migration),\n--no-succ-cache (disable the successor cache; identical plans, slower decode)\nand --succ-cache N (successor-cache capacity in entries, default 65536)"
+        "usage:\n  gaplan strips <file> [--planner ga|bfs|graphplan|forward|backward|hsp2] [GA flags]\n  gaplan solve --domain FILE --problem FILE [--planner ...] [GA flags]    (typed DSL → ground STRIPS → plan)\n  gaplan check --domain FILE [--problem FILE] [--print]    (parse/typecheck/ground only; exit 1 on errors)\n  gaplan grid <file> [--planner ga|greedy] [--simulate] [--overload SITE:TIME:LOAD] [--faults SEED] [--fault-rate F] [GA flags]\n  gaplan hanoi [<disks> | --disks N] [--single] [GA flags]\n  gaplan tile [<side>] [--crossover random|state-aware|mixed] [GA flags]\n  gaplan serve [--workers N] [--queue N] [--cache N] [--admission-ms N] [--journal DIR]    (JSON lines on stdin/stdout)\n               [--listen HOST:PORT] [--max-frame BYTES] [--no-coalesce] [--backlog N] [--idle-ms N]    (same protocol over TCP)\n               [--target-ms N] [--brownout F]    (overload control: CoDel + deadline admission at N ms, GA brownout floor F)\n  gaplan loadgen --addr HOST:PORT [--jobs N] [--conns N] [--inflight N] [--keys N] [--skew F] [--deadline-ms N] [--seed N] [--rate R] [--burst B] [--shutdown-after] [--out FILE] [--domain FILE --problem FILE]\n                 [--hedge | --hedge-ms N] [--proxy HOST:PORT | --chaos [chaos flags]]    (hedging / fault injection; combine with either loop)\n  gaplan chaosproxy --upstream HOST:PORT [--listen HOST:PORT] [chaos flags]    (standalone fault-injecting proxy)\n    chaos flags: [--chaos-seed N] [--chaos-resets F] [--chaos-cuts F] [--chaos-refuse F] [--chaos-latency-ms N] [--chaos-jitter-ms N] [--chaos-partial F] [--chaos-throttle BYTES_PER_SEC]\n  gaplan trace-report <file> [--top K]\nGA flags, accepted by every GA command (also under a baseline --planner):\n  [--seed N] [--pop N] [--gens N] [--phases N]    (the service's `ga` overrides on the problem's defaults, with its size limits)\n  [--islands K [--migrate-every M] [--emigrants E]]    (island-model GA with deterministic ring migration)\n  [--checkpoint FILE [--checkpoint-gens N]]    (crash-safe snapshot/resume)\n  [--no-succ-cache] [--succ-cache N]    (disable the successor cache, or set its capacity in entries; identical plans)\n  [--trace FILE]    (JSON-lines event trace)\nevery command refuses an unknown, repeated or stray argument"
     );
     exit(2);
 }
@@ -170,6 +177,14 @@ impl<'a> Args<'a> {
         Some(i)
     }
 
+    /// The leading positional argument (`gaplan hanoi 5`), when the first
+    /// argument is not a flag; marks it read.
+    fn positional(&self) -> Option<&'a str> {
+        let first = self.args.first().filter(|a| !a.starts_with("--"))?;
+        self.read[0].set(true);
+        Some(first)
+    }
+
     /// Refuse any argument no flag lookup has read, so a mistyped, retired
     /// or repeated flag never silently runs something else. Call it once
     /// every flag is read and before anything is opened or connected.
@@ -183,13 +198,6 @@ impl<'a> Args<'a> {
             usage(&format!("unknown {cmd} flag `{arg}`"));
         }
         usage(&format!("unexpected {cmd} argument `{arg}`"));
-    }
-}
-
-impl Deref for Args<'_> {
-    type Target = [String];
-    fn deref(&self) -> &[String] {
-        self.args
     }
 }
 
@@ -211,81 +219,109 @@ fn parse_arg<T: std::str::FromStr>(what: &str, v: &str) -> T {
 
 /// The parsed value of flag `name`, or `default` when the flag is absent.
 fn flag_or<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
-    flag_value(args, name).map_or(default, |v| parse_arg(name, v))
+    flag_opt(args, name).unwrap_or(default)
 }
 
-fn ga_config_from_flags(args: &Args, initial_len: usize) -> GaConfig {
-    let defaults = GaConfig::default();
-    let cfg = GaConfig {
-        population_size: flag_or(args, "--pop", 200),
-        generations_per_phase: flag_or(args, "--gens", 100),
-        max_phases: flag_or(args, "--phases", 5),
-        initial_len,
-        max_len: 5 * initial_len,
-        seed: flag_or(args, "--seed", 2003),
-        succ_cache: !flag_present(args, "--no-succ-cache"),
-        succ_cache_capacity: flag_or(args, "--succ-cache", defaults.succ_cache_capacity),
-        // Island model: `--islands 1` (the default) is byte-identical to a
-        // run without any island flags.
-        islands: flag_or(args, "--islands", defaults.islands),
-        migration_interval: flag_or(args, "--migrate-every", defaults.migration_interval),
-        emigrants: flag_or(args, "--emigrants", defaults.emigrants),
-        ..defaults
-    };
-    if let Err(e) = cfg.validate() {
-        usage(&format!("invalid GA configuration: {e}"));
+/// The parsed value of flag `name`, if given.
+fn flag_opt<T: std::str::FromStr>(args: &Args, name: &str) -> Option<T> {
+    flag_value(args, name).map(|v| parse_arg(name, v))
+}
+
+/// The GA flags, which every GA command reads (also under a baseline
+/// `--planner`) before [`Args::refuse_unread`].
+struct GaFlags<'a> {
+    /// `--pop/--gens/--phases/--seed`: a service request's `ga` overrides.
+    overrides: GaOverrides,
+    islands: Option<u32>,
+    migration_interval: Option<u32>,
+    emigrants: Option<usize>,
+    no_succ_cache: bool,
+    succ_cache_capacity: Option<usize>,
+    checkpoint: Option<&'a str>,
+    checkpoint_gens: u32,
+    trace: Option<&'a str>,
+}
+
+impl<'a> GaFlags<'a> {
+    fn read(args: &Args<'a>) -> Self {
+        GaFlags {
+            overrides: GaOverrides {
+                population: flag_opt(args, "--pop"),
+                generations: flag_opt(args, "--gens"),
+                phases: flag_opt(args, "--phases"),
+                seed: flag_opt(args, "--seed"),
+                ..GaOverrides::default()
+            },
+            islands: flag_opt(args, "--islands"),
+            migration_interval: flag_opt(args, "--migrate-every"),
+            emigrants: flag_opt(args, "--emigrants"),
+            no_succ_cache: flag_present(args, "--no-succ-cache"),
+            succ_cache_capacity: flag_opt(args, "--succ-cache"),
+            checkpoint: flag_value(args, "--checkpoint"),
+            checkpoint_gens: flag_or(args, "--checkpoint-gens", 0),
+            trace: flag_value(args, "--trace"),
+        }
     }
-    cfg
-}
 
-/// Run the multi-phase GA for `domain`, honoring `--checkpoint FILE` and
-/// `--checkpoint-gens N`: after every phase (and, with `N > 0`, every `N`
-/// generations inside a phase) the run's full state is written atomically
-/// to FILE. An existing FILE resumes the run — bitwise-identically to an
-/// uninterrupted one — and a completed run deletes it.
-fn run_with_checkpoint<D: Domain>(
-    domain: &D,
-    cfg: GaConfig,
-    problem_sig: u64,
-    args: &Args,
-) -> MultiPhaseResult<D::State> {
-    let Some(path) = flag_value(args, "--checkpoint") else {
-        return MultiPhase::new(domain, cfg).run();
-    };
-    let every: u32 = flag_or(args, "--checkpoint-gens", 0);
-    let path = std::path::Path::new(path);
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
-    let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-        usage("--checkpoint needs a file path");
-    };
-    let storage: Arc<dyn Storage> = Arc::new(FsStorage::new(&dir).unwrap_or_else(|e| {
-        eprintln!("cannot open checkpoint directory {}: {e}", dir.display());
-        exit(1);
-    }));
-    let resume: Option<MultiPhaseCheckpoint> = match load_snapshot(&storage, &name) {
-        Ok(Some(bytes)) => {
-            match std::str::from_utf8(&bytes).ok().and_then(|s| serde_json::from_str::<MultiPhaseCheckpoint>(s).ok()) {
-                Some(cp) => {
-                    eprintln!("resuming from checkpoint {} (phase {})", path.display(), cp.next_phase);
-                    Some(cp)
+    /// The run's config: the overrides on `defaults` through the service's
+    /// size-checked [`GaOverrides::resolve`], then the island and
+    /// successor-cache knobs (`--islands 1`, the default, is byte-identical
+    /// to a run without island flags). A refused config is a usage error.
+    fn config(&self, defaults: GaConfig) -> GaConfig {
+        let mut cfg = self.overrides.resolve(defaults).unwrap_or_else(|e| usage(&e));
+        cfg.succ_cache &= !self.no_succ_cache;
+        cfg.succ_cache_capacity = self.succ_cache_capacity.unwrap_or(cfg.succ_cache_capacity);
+        cfg.islands = self.islands.unwrap_or(cfg.islands);
+        cfg.migration_interval = self.migration_interval.unwrap_or(cfg.migration_interval);
+        cfg.emigrants = self.emigrants.unwrap_or(cfg.emigrants);
+        if let Err(e) = cfg.validate() {
+            usage(&format!("invalid GA configuration: {e}"));
+        }
+        cfg
+    }
+
+    /// Install the `--trace FILE` sink on this thread for the duration of
+    /// the returned guard (none when the flag is absent).
+    fn install_trace(&self) -> Option<obs::InstallGuard> {
+        open_trace(self.trace).map(|h| h.install())
+    }
+
+    /// Run the multi-phase GA for `domain`, the domain of `built`, honoring
+    /// `--checkpoint FILE` and `--checkpoint-gens N`: after every phase
+    /// (and, with `N > 0`, every `N` generations inside a phase) the run's
+    /// full state is written atomically to FILE, keyed by
+    /// [`BuiltProblem::signature`]. An existing FILE resumes the run —
+    /// bitwise-identically to an uninterrupted one — and a completed run
+    /// deletes it.
+    fn run<D: Domain>(&self, domain: &D, built: &BuiltProblem, cfg: GaConfig) -> MultiPhaseResult<D::State> {
+        let Some(path) = self.checkpoint else {
+            return MultiPhase::new(domain, cfg).run();
+        };
+        let path = std::path::Path::new(path);
+        let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(std::path::Path::new("."));
+        let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
+            usage("--checkpoint needs a file path");
+        };
+        let storage: Arc<dyn Storage> = Arc::new(FsStorage::new(dir).unwrap_or_else(|e| {
+            eprintln!("cannot open checkpoint directory {}: {e}", dir.display());
+            exit(1);
+        }));
+        let resume = match load_snapshot(&storage, &name) {
+            Ok(None) => None,
+            Ok(Some(bytes)) => {
+                let cp =
+                    std::str::from_utf8(&bytes).ok().and_then(|s| serde_json::from_str::<MultiPhaseCheckpoint>(s).ok());
+                match &cp {
+                    Some(cp) => eprintln!("resuming from checkpoint {} (phase {})", path.display(), cp.next_phase),
+                    None => eprintln!("warning: checkpoint {} is unreadable; starting fresh", path.display()),
                 }
-                None => {
-                    eprintln!("warning: checkpoint {} is unreadable; starting fresh", path.display());
-                    None
-                }
+                cp
             }
-        }
-        Ok(None) => None,
-        Err(e) => {
-            eprintln!("warning: checkpoint {} is corrupt ({e}); starting fresh", path.display());
-            None
-        }
-    };
-    let result = {
-        let mp = MultiPhase::new(domain, cfg).with_problem_sig(problem_sig);
+            Err(e) => {
+                eprintln!("warning: checkpoint {} is corrupt ({e}); starting fresh", path.display());
+                None
+            }
+        };
         let mut sink = |cp: &MultiPhaseCheckpoint| match serde_json::to_string(cp) {
             Ok(json) => {
                 if let Err(e) = save_snapshot(&storage, &name, json.as_bytes()) {
@@ -294,17 +330,21 @@ fn run_with_checkpoint<D: Domain>(
             }
             Err(e) => eprintln!("warning: checkpoint serialize failed: {e}"),
         };
-        mp.run_checkpointed(resume.as_ref(), every, &mut sink)
-    };
-    match result {
-        Ok(r) => {
-            // The run is over; a later fresh invocation must not resume it.
-            let _ = storage.remove(&name);
-            r
-        }
-        Err(e) => {
-            eprintln!("cannot resume from {}: {e}", path.display());
-            exit(1);
+        let result = MultiPhase::new(domain, cfg).with_problem_sig(built.signature()).run_checkpointed(
+            resume.as_ref(),
+            self.checkpoint_gens,
+            &mut sink,
+        );
+        match result {
+            Ok(r) => {
+                // The run is over; a later fresh invocation must not resume it.
+                let _ = storage.remove(&name);
+                r
+            }
+            Err(e) => {
+                eprintln!("cannot resume from {}: {e}", path.display());
+                exit(1);
+            }
         }
     }
 }
@@ -315,55 +355,55 @@ fn report_plan<D: Domain>(domain: &D, plan: &Plan, elapsed: f64, extra: &str) {
     print!("{}", plan.display(domain));
 }
 
-/// Plan a ground STRIPS problem with the planner selected by `--planner`
-/// (GA by default, with checkpoint/island/trace flags honored), printing
-/// the plan. Shared by `strips` (legacy text format) and `solve` (DSL).
-fn plan_strips(problem: &gaplan_core::strips::StripsProblem, args: &Args) {
-    let planner = flag_value(args, "--planner").unwrap_or("ga");
-    let limits = SearchLimits::default();
-    let _trace = install_trace(args);
+/// Plan `built`, a STRIPS or DSL problem, with `planner` (a baseline or
+/// the GA under `ga`'s flags), printing the plan. Shared by `strips`
+/// (legacy text format) and `solve` (DSL).
+fn plan_strips(built: &BuiltProblem, planner: &str, ga: &GaFlags) {
+    let problem: &StripsProblem = match built {
+        BuiltProblem::Strips(p) => p,
+        BuiltProblem::Dsl(p) => p,
+        _ => unreachable!("plan_strips plans STRIPS problems"),
+    };
+    let cfg = (planner == "ga").then(|| ga.config(built.default_config()));
+    let _trace = ga.install_trace();
     let started = Instant::now();
-    match planner {
-        "ga" => {
-            let cfg = ga_config_from_flags(args, 16.max(problem.num_operations()));
-            let r = run_with_checkpoint(problem, cfg, problem.signature(), args);
-            println!(
-                "GA: solved={} goal-fitness={:.3} generations={}",
-                r.solved, r.goal_fitness, r.generations_to_solution
-            );
-            report_plan(problem, &r.plan, started.elapsed().as_secs_f64(), "");
-        }
-        other => {
-            let result = match other {
-                "bfs" => bfs(problem, limits),
-                "graphplan" => graphplan(problem, limits),
-                "forward" => forward_chain(problem, limits),
-                "backward" => backward_chain(problem, limits),
-                "hsp2" => greedy_best_first(problem, &HAdd, limits),
-                _ => usage(&format!("unknown planner `{other}`")),
-            };
-            match result.plan {
-                Some(plan) => report_plan(
-                    problem,
-                    &plan,
-                    started.elapsed().as_secs_f64(),
-                    &format!(", {} nodes expanded", result.expanded),
-                ),
-                None => {
-                    println!("{other}: no plan found ({:?}, {} expanded)", result.outcome, result.expanded);
-                    exit(1);
-                }
-            }
+    if let Some(cfg) = cfg {
+        let r = ga.run(problem, built, cfg);
+        println!(
+            "GA: solved={} goal-fitness={:.3} generations={}",
+            r.solved, r.goal_fitness, r.generations_to_solution
+        );
+        report_plan(problem, &r.plan, started.elapsed().as_secs_f64(), "");
+        return;
+    }
+    let limits = SearchLimits::default();
+    let result = match planner {
+        "bfs" => bfs(problem, limits),
+        "graphplan" => graphplan(problem, limits),
+        "forward" => forward_chain(problem, limits),
+        "backward" => backward_chain(problem, limits),
+        "hsp2" => greedy_best_first(problem, &HAdd, limits),
+        other => usage(&format!("unknown planner `{other}`")),
+    };
+    match result.plan {
+        Some(plan) => report_plan(
+            problem,
+            &plan,
+            started.elapsed().as_secs_f64(),
+            &format!(", {} nodes expanded", result.expanded),
+        ),
+        None => {
+            println!("{planner}: no plan found ({:?}, {} expanded)", result.outcome, result.expanded);
+            exit(1);
         }
     }
 }
 
 fn strips_cmd(args: &Args) {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else { usage("strips needs a file") };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
+    let Some(path) = args.positional() else { usage("strips needs a file") };
+    let (planner, ga) = (flag_value(args, "--planner").unwrap_or("ga"), GaFlags::read(args));
+    args.refuse_unread("strips");
+    let text = read_file(path);
     let problem = gaplan_core::strips::parse_strips(&text).unwrap_or_else(|e| {
         // Parse failures get the full caret treatment from the DSL's
         // diagnostic renderer; other errors print as before.
@@ -376,60 +416,46 @@ fn strips_cmd(args: &Args) {
         exit(1);
     });
     println!("{path}: {} conditions, {} ground operators", problem.num_conditions(), problem.num_operations());
-    plan_strips(&problem, args);
-}
-
-/// Read `--domain FILE` and `--problem FILE` sources for `solve`/`check`.
-fn read_dsl_sources(args: &Args, problem_required: bool) -> (String, String, Option<String>) {
-    let Some(dpath) = flag_value(args, "--domain") else { usage("needs --domain FILE") };
-    let dsrc = std::fs::read_to_string(dpath).unwrap_or_else(|e| {
-        eprintln!("cannot read {dpath}: {e}");
-        exit(1);
-    });
-    let ppath = flag_value(args, "--problem");
-    if problem_required && ppath.is_none() {
-        usage("needs --problem FILE");
-    }
-    let psrc = ppath.map(|p| {
-        std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("cannot read {p}: {e}");
-            exit(1);
-        })
-    });
-    (dpath.to_string(), dsrc, psrc)
+    plan_strips(&BuiltProblem::Strips(Box::new(problem)), planner, &ga);
 }
 
 fn solve_cmd(args: &Args) {
-    let (dpath, dsrc, psrc) = read_dsl_sources(args, true);
-    let ppath = flag_value(args, "--problem").unwrap().to_string();
-    let psrc = psrc.unwrap();
+    let Some(dpath) = flag_value(args, "--domain") else { usage("needs --domain FILE") };
+    let Some(ppath) = flag_value(args, "--problem") else { usage("needs --problem FILE") };
+    let (planner, ga) = (flag_value(args, "--planner").unwrap_or("ga"), GaFlags::read(args));
+    args.refuse_unread("solve");
+    let (dsrc, psrc) = (read_file(dpath), read_file(ppath));
     let compiled = match lang::compile(&dsrc, &psrc) {
         Ok(c) => c,
         Err(e) => {
-            eprint!("{}", e.render(&dpath, &dsrc, &ppath, &psrc));
+            eprint!("{}", e.render(dpath, &dsrc, ppath, &psrc));
             exit(1);
         }
     };
     // Warnings (e.g. unreachable goals) still plan, but the user should
     // know the GA may be chasing an unsatisfiable goal.
-    eprint!("{}", lang::render_diagnostics(&compiled.warnings, &dpath, &dsrc, &ppath, &psrc));
+    eprint!("{}", lang::render_diagnostics(&compiled.warnings, dpath, &dsrc, ppath, &psrc));
     let s = &compiled.stats;
     println!(
         "{ppath}: {} objects, {} conditions, {} ground operators ({} bindings enumerated, {} pruned)",
         s.objects, s.conditions, s.ops, s.candidates, s.pruned
     );
-    plan_strips(&compiled.strips, args);
+    plan_strips(&BuiltProblem::Dsl(Arc::new(compiled.strips)), planner, &ga);
 }
 
 fn check_cmd(args: &Args) {
-    let (dpath, dsrc, psrc) = read_dsl_sources(args, false);
-    match psrc {
+    let Some(dpath) = flag_value(args, "--domain") else { usage("needs --domain FILE") };
+    // `--print` is read (and so accepted) with `--problem` too.
+    let (ppath, print) = (flag_value(args, "--problem"), flag_present(args, "--print"));
+    args.refuse_unread("check");
+    let dsrc = read_file(dpath);
+    match ppath {
         // Full pipeline: parse both, typecheck, ground.
-        Some(psrc) => {
-            let ppath = flag_value(args, "--problem").unwrap().to_string();
+        Some(ppath) => {
+            let psrc = read_file(ppath);
             match lang::compile(&dsrc, &psrc) {
                 Ok(c) => {
-                    eprint!("{}", lang::render_diagnostics(&c.warnings, &dpath, &dsrc, &ppath, &psrc));
+                    eprint!("{}", lang::render_diagnostics(&c.warnings, dpath, &dsrc, ppath, &psrc));
                     let s = &c.stats;
                     println!(
                         "ok: {} objects, {} conditions, {} ground operators ({} warning{})",
@@ -441,7 +467,7 @@ fn check_cmd(args: &Args) {
                     );
                 }
                 Err(e) => {
-                    eprint!("{}", e.render(&dpath, &dsrc, &ppath, &psrc));
+                    eprint!("{}", e.render(dpath, &dsrc, ppath, &psrc));
                     exit(1);
                 }
             }
@@ -449,16 +475,16 @@ fn check_cmd(args: &Args) {
         // Domain only: parse + typecheck, no grounding possible.
         None => {
             let ast = lang::parse_domain(&dsrc).unwrap_or_else(|d| {
-                eprint!("{}", d.render(&dpath, &dsrc));
+                eprint!("{}", d.render(dpath, &dsrc));
                 exit(1);
             });
             let mut diags = Vec::new();
             let checked = lang::check::check_domain(&ast, &mut diags);
             for d in &diags {
-                eprint!("{}", d.render(&dpath, &dsrc));
+                eprint!("{}", d.render(dpath, &dsrc));
             }
             let Some(dom) = checked else { exit(1) };
-            if flag_present(args, "--print") {
+            if print {
                 print!("{}", lang::pretty::print_domain(&ast));
             } else {
                 println!(
@@ -474,12 +500,13 @@ fn check_cmd(args: &Args) {
 }
 
 fn grid_cmd(args: &Args) {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else { usage("grid needs a file") };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
-    let world = parse_grid(&text).unwrap_or_else(|e| {
+    let Some(path) = args.positional() else { usage("grid needs a file") };
+    let (planner, ga) = (flag_value(args, "--planner").unwrap_or("ga"), GaFlags::read(args));
+    // The simulator flags are read (and so accepted) without --simulate.
+    let (simulate, overload) = (flag_present(args, "--simulate"), flag_value(args, "--overload"));
+    let (faults, fault_rate) = (flag_opt::<u64>(args, "--faults"), flag_or(args, "--fault-rate", 0.05));
+    args.refuse_unread("grid");
+    let world = parse_grid(&read_file(path)).unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(1);
     });
@@ -490,25 +517,24 @@ fn grid_cmd(args: &Args) {
         world.num_operations(),
         world.goals().len()
     );
-    let planner = flag_value(args, "--planner").unwrap_or("ga");
+    let built = BuiltProblem::Grid(Box::new(world));
+    let BuiltProblem::Grid(world) = &built else { unreachable!() };
+    // Resolved under every planner: the simulator's replans take its seed
+    // and successor-cache knobs.
+    let cfg = ga.config(built.default_config());
     // Planning and the simulator timeline trace on this thread. Service
     // replan workers deliberately stay untraced: their wall-clock scheduling
     // would interleave nondeterministically with the sim-time timeline.
-    let _trace = install_trace(args);
+    let _trace = ga.install_trace();
     let started = Instant::now();
     let plan = match planner {
-        "ga" => {
-            let mut cfg = ga_config_from_flags(args, 12);
-            cfg.max_len = 32;
-            cfg.cost_fitness = CostFitnessMode::InverseCost;
-            run_with_checkpoint(&world, cfg, world.signature(), args).plan
-        }
-        "greedy" => greedy_plan(&world, 8).unwrap_or_default(),
+        "ga" => ga.run(world.as_ref(), &built, cfg.clone()).plan,
+        "greedy" => greedy_plan(world, 8).unwrap_or_default(),
         other => usage(&format!("unknown planner `{other}`")),
     };
-    report_plan(&world, &plan, started.elapsed().as_secs_f64(), "");
+    report_plan(world.as_ref(), &plan, started.elapsed().as_secs_f64(), "");
 
-    let graph = ActivityGraph::from_plan(&world, &world.initial_state(), &plan);
+    let graph = ActivityGraph::from_plan(world.as_ref(), &world.initial_state(), &plan);
     println!(
         "activity graph: {} nodes, width {}, critical path {:.1}s",
         graph.len(),
@@ -516,9 +542,9 @@ fn grid_cmd(args: &Args) {
         graph.critical_path()
     );
 
-    if flag_present(args, "--simulate") {
-        let mut coord = Coordinator::new(&world);
-        if let Some(spec) = flag_value(args, "--overload") {
+    if simulate {
+        let mut coord = Coordinator::new(world);
+        if let Some(spec) = overload {
             let parts: Vec<&str> = spec.split(':').collect();
             if parts.len() != 3 {
                 usage("--overload SITE:TIME:LOAD");
@@ -536,12 +562,10 @@ fn grid_cmd(args: &Args) {
                 })
                 .policy(ReplanPolicy::OnLoadChange);
         }
-        if let Some(fseed) = flag_value(args, "--faults") {
-            let fseed: u64 = parse_arg("--faults", fseed);
-            let rate: f64 = flag_or(args, "--fault-rate", 0.05);
+        if let Some(fseed) = faults {
             let horizon = (graph.critical_path() * 2.0).max(10.0);
-            let events = chaos_schedule(&world, fseed, horizon);
-            println!("fault schedule (seed {fseed}, rate {rate}):");
+            let events = chaos_schedule(world, fseed, horizon);
+            println!("fault schedule (seed {fseed}, rate {fault_rate}):");
             for ev in &events {
                 match ev {
                     ExternalEvent::SiteFailure { time, site } => {
@@ -556,9 +580,8 @@ fn grid_cmd(args: &Args) {
                 }
                 coord.schedule(*ev);
             }
-            coord.fault_plan(FaultPlan::new(fseed, rate)).policy(ReplanPolicy::OnAnyChange);
+            coord.fault_plan(FaultPlan::new(fseed, fault_rate)).policy(ReplanPolicy::OnAnyChange);
         }
-        let seed = flag_or(args, "--seed", 2003);
         // Replans go through the planning service: queued, budgeted, cached.
         let (service, _responses) = PlanService::start(ServiceConfig {
             workers: 1,
@@ -570,21 +593,21 @@ fn grid_cmd(args: &Args) {
             eprintln!("grid: start planning service: {e}");
             exit(1);
         });
-        let cache_flags = ga_config_from_flags(args, 1);
-        let mut replan_cfg = GaConfig {
+        // A smaller, goal-truncating replan budget with the run's cost
+        // fitness, seed stream and successor-cache knobs.
+        let replan_cfg = GaConfig {
             population_size: 100,
             generations_per_phase: 60,
             max_phases: 3,
             initial_len: 10,
             max_len: 24,
-            cost_fitness: CostFitnessMode::InverseCost,
-            seed: seed ^ 0xD1CE,
-            // replans honor the CLI successor-cache knobs too
-            succ_cache: cache_flags.succ_cache,
-            succ_cache_capacity: cache_flags.succ_cache_capacity,
+            cost_fitness: cfg.cost_fitness,
+            seed: cfg.seed ^ 0xD1CE,
+            truncate_at_goal: true,
+            succ_cache: cfg.succ_cache,
+            succ_cache_capacity: cfg.succ_cache_capacity,
             ..GaConfig::default()
         };
-        replan_cfg.truncate_at_goal = true;
         let replanner = ServiceReplanner::new(&service, replan_cfg);
         let replan = |snapshot: &ga_grid_planner::grid::GridWorld| replanner.replan(snapshot);
         let trace = coord.run(&plan, Some(&replan));
@@ -681,21 +704,13 @@ fn loadgen_cmd(args: &Args) {
         inflight: flag_or(args, "--inflight", 32),
         key_space: flag_or(args, "--keys", 64),
         skew: flag_or(args, "--skew", 0.5),
-        deadline_ms: flag_value(args, "--deadline-ms").map(|v| parse_arg("--deadline-ms", v)),
+        deadline_ms: flag_opt(args, "--deadline-ms"),
         seed: flag_or(args, "--seed", 42),
-        rate: flag_value(args, "--rate").map(|v| parse_arg::<f64>("--rate", v)).filter(|r| *r > 0.0),
+        rate: flag_opt::<f64>(args, "--rate").filter(|r| *r > 0.0),
         burst: flag_or(args, "--burst", 1),
         shutdown_after: flag_present(args, "--shutdown-after"),
         dsl: match (flag_value(args, "--domain"), flag_value(args, "--problem")) {
-            (Some(d), Some(p)) => {
-                let read = |path: &str| {
-                    std::fs::read_to_string(path).unwrap_or_else(|e| {
-                        eprintln!("cannot read {path}: {e}");
-                        exit(1);
-                    })
-                };
-                Some((read(d), read(p)))
-            }
+            (Some(d), Some(p)) => Some((read_file(d), read_file(p))),
             (None, None) => None,
             _ => usage("loadgen --domain and --problem must be given together"),
         },
@@ -778,7 +793,7 @@ fn chaos_cfg_from_flags(args: &Args, upstream: String) -> ChaosConfig {
         latency_ms: flag_or(args, "--chaos-latency-ms", 0),
         jitter_ms: flag_or(args, "--chaos-jitter-ms", 0),
         partial_rate: flag_or(args, "--chaos-partial", 0.0),
-        throttle_bytes_per_sec: flag_value(args, "--chaos-throttle").map(|v| parse_arg("--chaos-throttle", v)),
+        throttle_bytes_per_sec: flag_opt(args, "--chaos-throttle"),
     }
 }
 
@@ -802,26 +817,19 @@ fn chaosproxy_cmd(args: &Args) {
 }
 
 fn hanoi_cmd(args: &Args) {
-    // Disk count: positional (`gaplan hanoi 5`) or `--disks 5`.
-    let positional = args.first().filter(|a| !a.starts_with("--")).map(String::as_str);
-    let n: usize = flag_value(args, "--disks").or(positional).map_or(5, |v| parse_arg("disk count", v));
-    let hanoi = Hanoi::new(n);
-    let mut cfg = ga_config_from_flags(args, hanoi.optimal_len());
-    if flag_present(args, "--single") {
-        cfg = cfg.single_phase();
-    } else {
-        cfg = cfg.multi_phase();
-    }
-    let _trace = install_trace(args);
+    // Disk count: `--disks 5` or positional (`gaplan hanoi 5`).
+    let disks = flag_value(args, "--disks").or_else(|| args.positional()).map_or(5, |v| parse_arg("disk count", v));
+    let (single, ga) = (flag_present(args, "--single"), GaFlags::read(args));
+    args.refuse_unread("hanoi");
+    let built = ProblemSpec::Hanoi { disks }.build().unwrap_or_else(|e| usage(&e));
+    let BuiltProblem::Hanoi { domain: hanoi, .. } = &built else { unreachable!() };
+    let defaults = built.default_config();
+    let cfg = ga.config(if single { defaults.single_phase() } else { defaults });
+    let _trace = ga.install_trace();
     let started = Instant::now();
-    let sig = {
-        let mut s = SigBuilder::new();
-        s.tag("hanoi-v1").usize(n);
-        s.finish()
-    };
-    let r = run_with_checkpoint(&hanoi, cfg, sig, args);
+    let r = ga.run(hanoi, &built, cfg);
     println!(
-        "hanoi {n}: solved={} goal-fitness={:.3} generations={} plan-length={} (optimal {}) in {:.2}s",
+        "hanoi {disks}: solved={} goal-fitness={:.3} generations={} plan-length={} (optimal {}) in {:.2}s",
         r.solved,
         r.goal_fitness,
         r.generations_to_solution,
@@ -833,32 +841,29 @@ fn hanoi_cmd(args: &Args) {
 }
 
 fn tile_cmd(args: &Args) {
-    let positional = args.first().filter(|a| !a.starts_with("--"));
-    let n: usize = positional.map_or(3, |v| parse_arg("tile side", v));
-    let seed: u64 = flag_or(args, "--seed", 2003);
-    let crossover = match flag_value(args, "--crossover").unwrap_or("mixed") {
+    let side = args.positional().map_or(3, |v| parse_arg("tile side", v));
+    let crossover = flag_value(args, "--crossover").map(|v| match v {
         "random" => CrossoverKind::Random,
         "state-aware" => CrossoverKind::StateAware,
         "mixed" => CrossoverKind::Mixed,
         other => usage(&format!("unknown crossover `{other}`")),
-    };
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let puzzle = SlidingTile::random_solvable(n, &mut rng);
+    });
+    let ga = GaFlags::read(args);
+    args.refuse_unread("tile");
+    // `--seed` both shuffles the instance and seeds the GA.
+    let spec = ProblemSpec::Tile { side, shuffle_seed: ga.overrides.seed.unwrap_or(DEFAULT_SEED) };
+    let built = spec.build().unwrap_or_else(|e| usage(&e));
+    let BuiltProblem::Tile { domain: puzzle, .. } = &built else { unreachable!() };
+    let mut defaults = built.default_config();
+    defaults.crossover = crossover.unwrap_or(defaults.crossover);
+    let cfg = ga.config(defaults);
     println!("instance:\n{}", puzzle.render(&puzzle.initial_state()));
-    let initial_len = ((n * n) as f64 * ((n * n) as f64).log2()).ceil() as usize;
-    let mut cfg = ga_config_from_flags(args, initial_len);
-    cfg.crossover = crossover;
-    let _trace = install_trace(args);
+    let _trace = ga.install_trace();
     let started = Instant::now();
-    let sig = {
-        let mut s = SigBuilder::new();
-        s.tag("tile-v1").usize(n).u64(seed);
-        s.finish()
-    };
-    let r = run_with_checkpoint(&puzzle, cfg, sig, args);
+    let crossover = cfg.crossover;
+    let r = ga.run(puzzle, &built, cfg);
     println!(
-        "tile {n}x{n} ({}): solved={} goal-fitness={:.3} plan-length={} in {:.2}s",
+        "tile {side}x{side} ({}): solved={} goal-fitness={:.3} plan-length={} in {:.2}s",
         crossover.name(),
         r.solved,
         r.goal_fitness,
@@ -869,11 +874,8 @@ fn tile_cmd(args: &Args) {
 }
 
 fn trace_report_cmd(args: &Args) {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else { usage("trace-report needs a file") };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
+    let Some(path) = args.positional() else { usage("trace-report needs a file") };
     let top_k = flag_or(args, "--top", 5);
-    print!("{}", ga_grid_planner::trace_report::render(&text, top_k));
+    args.refuse_unread("trace-report");
+    print!("{}", ga_grid_planner::trace_report::render(&read_file(path), top_k));
 }

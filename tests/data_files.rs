@@ -56,3 +56,15 @@ fn pipeline_grid_is_solvable_by_greedy_broker() {
     let out = plan.simulate(&world, &world.initial_state()).unwrap();
     assert!(out.solves);
 }
+
+/// Plan-cache keys, journal and `cache.snap` entries and checkpoints hold
+/// STRIPS problem signatures, so their values are pinned: a change here
+/// orphans every stored plan.
+#[test]
+fn strips_problem_signatures_are_pinned() {
+    let rover = parse_strips(&read("data/rover.strips")).unwrap();
+    assert_eq!(rover.signature(), 0x20ec_161b_70a8_4aae);
+    let logistics =
+        ga_grid_planner::lang::compile(&read("examples/domains/logistics.gap"), &read("data/logistics-1.gap")).unwrap();
+    assert_eq!(logistics.strips.signature(), 0x96e4_33b0_3b38_57cf);
+}
