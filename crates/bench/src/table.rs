@@ -32,8 +32,12 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Render as an aligned plain-text table.
+    /// Render as an aligned plain-text table. A table with no columns (the
+    /// paper's figures) renders as its title alone.
     pub fn render(&self) -> String {
+        if self.headers.is_empty() {
+            return self.title.clone();
+        }
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
