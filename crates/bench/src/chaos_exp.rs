@@ -11,9 +11,9 @@
 //! what failure-awareness buys.
 
 use gaplan_core::Plan;
-use gaplan_grid::{chaos_schedule, image_pipeline, Coordinator, ExecutionTrace, FaultPlan, GridWorld, ReplanPolicy};
+use gaplan_grid::{chaos_schedule, Coordinator, ExecutionTrace, FaultPlan, GridWorld, ReplanPolicy};
 
-use crate::grid_exp::{ga_plan, grid_ga_config};
+use crate::grid_exp::{ga_plan, pipeline};
 use crate::table::{f1, f3, TextTable};
 use crate::ExpScale;
 
@@ -43,9 +43,9 @@ pub fn run_chaos(
 
 /// Ext-I: one fault schedule, three policies.
 pub fn ext_chaos(scale: &ExpScale) -> TextTable {
-    let sc = image_pipeline();
-    let world = &sc.world;
-    let cfg = grid_ga_config(scale);
+    let (pipeline, _) = pipeline();
+    let world = &pipeline.domain;
+    let cfg = scale.config(&pipeline, |_| {});
     let plan = ga_plan(world, &cfg);
 
     // Calm run sets the horizon: faults land mid-execution, recovery within
@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn chaos_same_seed_replays_identically() {
-        let sc = image_pipeline();
+        let sc = gaplan_grid::image_pipeline();
         let plan = gaplan_grid::greedy_plan(&sc.world, 6).expect("greedy plans the pipeline");
         let a = run_chaos(&sc.world, &plan, 41, 90.0, ReplanPolicy::Never, None);
         let b = run_chaos(&sc.world, &plan, 41, 90.0, ReplanPolicy::Never, None);

@@ -8,29 +8,30 @@
 //! the load changes.
 
 use gaplan_core::{Domain, Plan};
-use gaplan_ga::{CostFitnessMode, GaConfig, MultiPhase};
+use gaplan_ga::{GaConfig, MultiPhase};
 use gaplan_grid::{
-    climate_ensemble, greedy_plan, image_pipeline, ActivityGraph, Coordinator, ExternalEvent, GridWorld, ReplanPolicy,
+    climate_ensemble, greedy_plan, ActivityGraph, Coordinator, ExternalEvent, GridWorld, ReplanPolicy, SiteId,
 };
+use gaplan_problem::GaOverrides;
 
 use crate::table::{f1, f3, TextTable};
-use crate::ExpScale;
+use crate::{grid, Built, ExpScale};
 
-/// The GA configuration used for grid workflow planning: goal truncation on
-/// (a workflow stops when the results exist), general cost fitness, short
-/// genomes (pipelines are a handful of steps).
-pub fn grid_ga_config(scale: &ExpScale) -> GaConfig {
-    GaConfig {
-        population_size: 100,
-        generations_per_phase: scale.gens(60),
-        max_phases: 3,
-        initial_len: 8,
-        max_len: 16,
-        truncate_at_goal: true,
-        cost_fitness: CostFitnessMode::InverseCost,
-        seed: scale.seed,
-        ..GaConfig::default()
-    }
+/// The image pipeline of Ext-E and Ext-I and its sites (home site first).
+/// The pipeline is a handful of steps, so its run shape overrides the
+/// model's grid defaults (genomes of 12 capped at 32): genomes of 8 capped
+/// at 16, and 100 individuals over 3 phases of 60 generations.
+pub fn pipeline() -> (Built<GridWorld>, [SiteId; 3]) {
+    let sc = gaplan_grid::image_pipeline();
+    let shape = GaOverrides {
+        population: Some(100),
+        generations: Some(60),
+        phases: Some(3),
+        initial_len: Some(8),
+        max_len: Some(16),
+        seed: None,
+    };
+    (grid(sc.world, shape), sc.sites)
 }
 
 /// Plan a workflow with the multi-phase GA.
@@ -40,15 +41,15 @@ pub fn ga_plan(world: &GridWorld, cfg: &GaConfig) -> Plan {
 
 /// Ext-E: static script vs GA replanning under a load spike.
 pub fn ext_grid(scale: &ExpScale) -> TextTable {
-    let sc = image_pipeline();
-    let world = &sc.world;
-    let cfg = grid_ga_config(scale);
+    let (pipeline, sites) = pipeline();
+    let world = &pipeline.domain;
+    let cfg = scale.config(&pipeline, |_| {});
 
     // initial plan, from the unloaded world
     let plan = ga_plan(world, &cfg);
     let graph = ActivityGraph::from_plan(world, &world.initial_state(), &plan);
 
-    let overload = ExternalEvent::LoadChange { time: 3.0, site: sc.sites[0], load: 0.95 };
+    let overload = ExternalEvent::LoadChange { time: 3.0, site: sites[0], load: 0.95 };
 
     // baseline: calm weather, no events
     let calm = Coordinator::new(world).run(&plan, None);
@@ -115,18 +116,13 @@ pub fn ext_grid(scale: &ExpScale) -> TextTable {
 /// weighted goals) with an overload on the primary HPC system.
 pub fn ext_grid_climate(scale: &ExpScale) -> TextTable {
     let sc = climate_ensemble();
-    let world = &sc.world;
-    let cfg = GaConfig {
-        population_size: 200,
-        generations_per_phase: scale.gens(120),
-        max_phases: 5,
-        initial_len: 14,
-        max_len: 40,
-        cost_fitness: CostFitnessMode::InverseCost,
-        truncate_at_goal: true,
-        seed: scale.seed,
-        ..GaConfig::default()
-    };
+    // Longer plans than the model's grid defaults (12 capped at 32):
+    // genomes of 14 capped at 40, and 120 generations per phase.
+    let shape =
+        GaOverrides { generations: Some(120), initial_len: Some(14), max_len: Some(40), ..GaOverrides::default() };
+    let climate = grid(sc.world, shape);
+    let world = &climate.domain;
+    let cfg = scale.config(&climate, |_| {});
 
     let plan = ga_plan(world, &cfg);
     let graph = ActivityGraph::from_plan(world, &world.initial_state(), &plan);
@@ -183,16 +179,16 @@ mod tests {
 
     #[test]
     fn ga_plans_the_pipeline() {
-        let sc = image_pipeline();
+        let (pipeline, _) = pipeline();
         let scale = ExpScale {
             budget: 0.5, // keep the test quick; the full budget runs in `tables`
             ..ExpScale::default()
         };
-        let cfg = grid_ga_config(&scale);
-        let result = MultiPhase::new(&sc.world, cfg).run();
+        let world = &pipeline.domain;
+        let result = MultiPhase::new(world, scale.config(&pipeline, |_| {})).run();
         assert!(result.solved, "GA must plan the image pipeline (fitness {})", result.goal_fitness);
         // the plan replays validly
-        let out = result.plan.simulate(&sc.world, &sc.world.initial_state()).unwrap();
+        let out = result.plan.simulate(world, &world.initial_state()).unwrap();
         assert!(out.solves);
     }
 

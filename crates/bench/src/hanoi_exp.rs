@@ -1,38 +1,19 @@
 //! Towers of Hanoi experiments: Tables 1–2 (§4.1) and the Hanoi extension
 //! experiments (crossover ablation, fitness-function ablation, phase-budget
-//! sweep).
+//! sweep), all over the problem model's Hanoi defaults: the Table 1 block
+//! and the optimal length `2^n − 1` as initial length (§4.1).
 
 use gaplan_core::{Domain, OpId};
 use gaplan_domains::Hanoi;
-use gaplan_ga::{CrossoverKind, GaConfig, SelectionScheme};
+use gaplan_ga::CrossoverKind;
 
 use crate::runner::run_batch;
 use crate::table::{f1, f3, TextTable};
-use crate::ExpScale;
-
-/// The paper's shared Hanoi GA configuration (Table 1). `initial_len` is
-/// the optimal solution length `2^n − 1` (§4.1); `MaxLen` is five times
-/// that (Table 2 discussion: single-phase lengths saturate near 5× the
-/// optimum, and the multi-phase cap is "five times higher" again through
-/// concatenation of 5 phases).
-pub fn hanoi_config(n: usize, scale: &ExpScale) -> GaConfig {
-    let optimal = (1usize << n) - 1;
-    GaConfig {
-        population_size: 200,
-        crossover: CrossoverKind::Random,
-        crossover_rate: 0.9,
-        mutation_rate: 0.01,
-        selection: SelectionScheme::Tournament(2),
-        initial_len: optimal,
-        max_len: 5 * optimal,
-        seed: scale.seed,
-        ..GaConfig::default()
-    }
-}
+use crate::{hanoi, ExpScale};
 
 /// Table 1: parameter settings used in the Towers of Hanoi experiments.
 pub fn table1(scale: &ExpScale) -> TextTable {
-    let cfg = hanoi_config(5, scale);
+    let cfg = hanoi(5).base;
     let mut t = TextTable::new(
         "Table 1. Parameter settings used in the Towers of Hanoi planning experiments.",
         &["Parameter", "Value"],
@@ -67,11 +48,10 @@ pub fn table2(scale: &ExpScale) -> TextTable {
     );
     for (ga_type, single) in [("Single-phase", true), ("Multi-phase", false)] {
         for n in [5usize, 6, 7] {
-            let hanoi = Hanoi::new(n);
-            let mut cfg =
-                if single { hanoi_config(n, scale).single_phase() } else { hanoi_config(n, scale).multi_phase() };
-            cfg.generations_per_phase = scale.gens(cfg.generations_per_phase);
-            let (_, agg) = run_batch(&hanoi, &cfg, runs);
+            let hanoi = hanoi(n);
+            // The model's Hanoi default is the multi-phase run shape.
+            let cfg = scale.config(&hanoi, |c| *c = if single { c.clone().single_phase() } else { c.clone() });
+            let (_, agg) = run_batch(&hanoi.domain, &cfg, runs);
             t.row(vec![
                 ga_type.into(),
                 n.to_string(),
@@ -89,17 +69,14 @@ pub fn table2(scale: &ExpScale) -> TextTable {
 /// there; §4.2 showed the mechanisms differ on tiles).
 pub fn ext_crossover_hanoi(scale: &ExpScale) -> TextTable {
     let runs = scale.runs_or(10);
-    let n = 6;
-    let hanoi = Hanoi::new(n);
+    let hanoi = hanoi(6);
     let mut t = TextTable::new(
         "Ext-A. Crossover ablation on the 6-disk Towers of Hanoi (multi-phase).",
         &["Crossover", "Avg Goal Fitness", "Avg Size", "Avg Generations", "Solved Runs"],
     );
     for kind in [CrossoverKind::Random, CrossoverKind::StateAware, CrossoverKind::Mixed, CrossoverKind::TwoPoint] {
-        let mut cfg = hanoi_config(n, scale).multi_phase();
-        cfg.crossover = kind;
-        cfg.generations_per_phase = scale.gens(cfg.generations_per_phase);
-        let (_, agg) = run_batch(&hanoi, &cfg, runs);
+        let cfg = scale.config(&hanoi, |c| c.crossover = kind);
+        let (_, agg) = run_batch(&hanoi.domain, &cfg, runs);
         t.row(vec![
             kind.name().into(),
             f3(agg.avg_goal_fitness),
@@ -187,8 +164,7 @@ pub fn ext_fitness(scale: &ExpScale) -> TextTable {
         ("exact (0/1)", FitnessVariant::Exact),
     ] {
         let domain = HanoiFitness::new(n, variant);
-        let mut cfg = hanoi_config(n, scale).multi_phase();
-        cfg.generations_per_phase = scale.gens(cfg.generations_per_phase);
+        let cfg = scale.config(&hanoi(n), |_| {});
         let (_, agg) = run_batch(&domain, &cfg, runs);
         // the fitness column is each variant's own scale; the solved count
         // is the variant-independent comparison that matters
@@ -206,18 +182,18 @@ pub fn ext_fitness(scale: &ExpScale) -> TextTable {
 /// generations.
 pub fn ext_phases(scale: &ExpScale) -> TextTable {
     let runs = scale.runs_or(10);
-    let n = 6;
-    let hanoi = Hanoi::new(n);
+    let hanoi = hanoi(6);
     let mut t = TextTable::new(
         "Ext-C. Phase-count sweep on the 6-disk Towers of Hanoi (total budget 500 generations).",
         &["Phases x Gens", "Avg Goal Fitness", "Avg Size", "Avg Generations", "Solved Runs"],
     );
     for (phases, gens) in [(1u32, 500u32), (2, 250), (5, 100), (10, 50), (25, 20)] {
-        let mut cfg = hanoi_config(n, scale);
-        cfg.max_phases = phases;
-        cfg.generations_per_phase = scale.gens(gens);
-        cfg.early_stop_on_solution = phases == 1;
-        let (_, agg) = run_batch(&hanoi, &cfg, runs);
+        let cfg = scale.config(&hanoi, |c| {
+            c.max_phases = phases;
+            c.generations_per_phase = gens;
+            c.early_stop_on_solution = phases == 1;
+        });
+        let (_, agg) = run_batch(&hanoi.domain, &cfg, runs);
         t.row(vec![
             format!("{phases} x {gens}"),
             f3(agg.avg_goal_fitness),
@@ -266,13 +242,5 @@ mod tests {
         assert_eq!(w.goal_fitness(&goal), 1.0);
         assert_eq!(u.goal_fitness(&goal), 1.0);
         assert_eq!(e.goal_fitness(&goal), 1.0);
-    }
-
-    #[test]
-    fn hanoi_config_uses_optimal_initial_len() {
-        let cfg = hanoi_config(7, &ExpScale::default());
-        assert_eq!(cfg.initial_len, 127);
-        assert_eq!(cfg.max_len, 635);
-        cfg.validate().unwrap();
     }
 }

@@ -2,13 +2,10 @@
 //! runs — the data behind the convergence figures a modern write-up of the
 //! paper would include (the original reports only endpoint aggregates).
 
-use gaplan_domains::Hanoi;
 use gaplan_ga::{CrossoverKind, MultiPhase};
 
-use crate::hanoi_exp::hanoi_config;
 use crate::table::{f1, f3, TextTable};
-use crate::tile_exp::{tile_config, tile_instance};
-use crate::ExpScale;
+use crate::{hanoi, ExpScale};
 
 /// Sample a run's history every `stride` generations into table rows.
 fn sample_history(t: &mut TextTable, label: &str, history: &[gaplan_ga::GenStats], stride: usize) {
@@ -33,17 +30,13 @@ pub fn history(scale: &ExpScale) -> TextTable {
         &["Run", "Generation", "Best Goal Fitness", "Mean Total Fitness", "Mean Plan Length", "Solvers"],
     );
 
-    let hanoi = Hanoi::new(6);
-    let mut cfg = hanoi_config(6, scale).multi_phase();
-    cfg.generations_per_phase = scale.gens(cfg.generations_per_phase);
-    let r = MultiPhase::new(&hanoi, cfg).run();
+    let hanoi = hanoi(6);
+    let r = MultiPhase::new(&hanoi.domain, scale.config(&hanoi, |_| {})).run();
     sample_history(&mut t, "hanoi6/random", &r.history, 10);
 
+    let tile = scale.tile(3);
     for kind in [CrossoverKind::Random, CrossoverKind::StateAware] {
-        let instance = tile_instance(3, scale);
-        let mut cfg = tile_config(3, kind, scale);
-        cfg.generations_per_phase = scale.gens(cfg.generations_per_phase);
-        let r = MultiPhase::new(&instance, cfg).run();
+        let r = MultiPhase::new(&tile.domain, scale.config(&tile, |c| c.crossover = kind)).run();
         sample_history(&mut t, &format!("tile3/{}", kind.name()), &r.history, 10);
     }
     t

@@ -5,15 +5,12 @@
 //! same toolbox; this measures the difference).
 
 use gaplan_core::Domain;
-use gaplan_domains::Hanoi;
 use gaplan_ga::rng::derive_seed;
 use gaplan_ga::{one_plus_one, simulated_annealing, AnnealConfig};
 
-use crate::hanoi_exp::hanoi_config;
 use crate::runner::run_batch;
 use crate::table::{f1, f3, TextTable};
-use crate::tile_exp::{tile_config, tile_instance};
-use crate::ExpScale;
+use crate::{hanoi, ExpScale};
 
 fn anneal_rows<D: Domain>(
     t: &mut TextTable,
@@ -46,14 +43,13 @@ fn anneal_rows<D: Domain>(
 /// Ext-H1: 6-disk Hanoi at a 100k-evaluation budget (= pop 200 × 500 gens).
 pub fn ext_metaheuristics_hanoi(scale: &ExpScale) -> TextTable {
     let runs = scale.runs_or(10);
-    let hanoi = Hanoi::new(6);
+    let hanoi = hanoi(6);
     let mut t = TextTable::new(
         "Ext-H1. Metaheuristics on the 6-disk Towers of Hanoi (equal evaluation budgets).",
         &["Method", "Avg Goal Fitness", "Avg Size", "Solved Runs"],
     );
-    let mut ga_cfg = hanoi_config(6, scale).multi_phase();
-    ga_cfg.generations_per_phase = scale.gens(ga_cfg.generations_per_phase);
-    let (_, agg) = run_batch(&hanoi, &ga_cfg, runs);
+    let ga_cfg = scale.config(&hanoi, |_| {});
+    let (_, agg) = run_batch(&hanoi.domain, &ga_cfg, runs);
     t.row(vec![
         "GA multi-phase".into(),
         f3(agg.avg_goal_fitness),
@@ -62,21 +58,21 @@ pub fn ext_metaheuristics_hanoi(scale: &ExpScale) -> TextTable {
     ]);
     let budget =
         (ga_cfg.population_size as u64) * u64::from(ga_cfg.generations_per_phase) * u64::from(ga_cfg.max_phases);
-    anneal_rows(&mut t, &hanoi, &ga_cfg, budget, runs, scale);
+    anneal_rows(&mut t, &hanoi.domain, &ga_cfg, budget, runs, scale);
     t
 }
 
 /// Ext-H2: the Table-4 8-puzzle instance at the equivalent budget.
 pub fn ext_metaheuristics_tile(scale: &ExpScale) -> TextTable {
     let runs = scale.runs_or(10);
-    let instance = tile_instance(3, scale);
+    let tile = scale.tile(3);
     let mut t = TextTable::new(
         "Ext-H2. Metaheuristics on the Table-4 8-puzzle instance (equal evaluation budgets).",
         &["Method", "Avg Goal Fitness", "Avg Size", "Solved Runs"],
     );
-    let mut ga_cfg = tile_config(3, gaplan_ga::CrossoverKind::Mixed, scale);
-    ga_cfg.generations_per_phase = scale.gens(ga_cfg.generations_per_phase);
-    let (_, agg) = run_batch(&instance, &ga_cfg, runs);
+    // The model's tile default crossover is the mixed one.
+    let ga_cfg = scale.config(&tile, |_| {});
+    let (_, agg) = run_batch(&tile.domain, &ga_cfg, runs);
     t.row(vec![
         "GA multi-phase (mixed)".into(),
         f3(agg.avg_goal_fitness),
@@ -85,7 +81,7 @@ pub fn ext_metaheuristics_tile(scale: &ExpScale) -> TextTable {
     ]);
     let budget =
         (ga_cfg.population_size as u64) * u64::from(ga_cfg.generations_per_phase) * u64::from(ga_cfg.max_phases);
-    anneal_rows(&mut t, &instance, &ga_cfg, budget, runs, scale);
+    anneal_rows(&mut t, &tile.domain, &ga_cfg, budget, runs, scale);
     t
 }
 

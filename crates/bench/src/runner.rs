@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use gaplan_core::Domain;
 use gaplan_ga::rng::derive_seed;
-use gaplan_ga::{aggregate, AggregateReport, GaConfig, MultiPhase, RunReport};
+use gaplan_ga::{aggregate, AggregateReport, GaConfig, MultiPhase, RunReport, SeedStrategy};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
@@ -17,6 +17,17 @@ use rayon::prelude::*;
 /// themselves are the parallel unit here), keeping results identical to a
 /// serial execution.
 pub fn run_batch<D: Domain>(domain: &D, cfg: &GaConfig, runs: usize) -> (Vec<RunReport>, AggregateReport) {
+    run_seeded(domain, cfg, runs, None)
+}
+
+/// [`run_batch`], with each run's initial population partly drawn from
+/// `seeder`: a strategy and the fraction of the population it fills.
+pub fn run_seeded<D: Domain>(
+    domain: &D,
+    cfg: &GaConfig,
+    runs: usize,
+    seeder: Option<&(SeedStrategy, f64)>,
+) -> (Vec<RunReport>, AggregateReport) {
     assert!(runs > 0);
     let reports = Mutex::new(vec![None; runs]);
     (0..runs).into_par_iter().for_each(|i| {
@@ -24,7 +35,11 @@ pub fn run_batch<D: Domain>(domain: &D, cfg: &GaConfig, runs: usize) -> (Vec<Run
         run_cfg.seed = derive_seed(cfg.seed, i as u64 + 1);
         run_cfg.eval = gaplan_ga::EvalMode::Serial;
         let start = Instant::now();
-        let result = MultiPhase::new(domain, run_cfg).run();
+        let mut driver = MultiPhase::new(domain, run_cfg);
+        if let Some((strategy, fraction)) = seeder {
+            driver = driver.with_seeder(strategy.clone(), *fraction);
+        }
+        let result = driver.run();
         let report = RunReport::from_result(&result, start.elapsed().as_secs_f64());
         reports.lock()[i] = Some(report);
     });

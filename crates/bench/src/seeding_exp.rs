@@ -5,43 +5,33 @@
 
 use gaplan_baselines::{greedy_best_first, GoalCount, SearchLimits};
 use gaplan_domains::blocks_world;
-use gaplan_ga::rng::derive_seed;
-use gaplan_ga::{aggregate, GaConfig, MultiPhase, RunReport, SeedStrategy};
-use std::time::Instant;
+use gaplan_ga::SeedStrategy;
+use gaplan_problem::GaOverrides;
 
+use crate::runner::run_seeded;
 use crate::table::{f1, f3, TextTable};
-use crate::ExpScale;
-
-/// The Blocks World instance: 9 blocks in three towers, rearranged into
-/// two interleaved towers (requires unstacking and careful ordering).
-fn instance() -> gaplan_core::strips::StripsProblem {
-    blocks_world(9, &vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8]], &vec![vec![8, 4, 0, 6, 2], vec![5, 1, 7, 3]])
-        .unwrap()
-}
-
-fn ga_cfg(scale: &ExpScale) -> GaConfig {
-    GaConfig {
-        population_size: 150,
-        generations_per_phase: scale.gens(100),
-        max_phases: 5,
-        initial_len: 20,
-        max_len: 100,
-        seed: scale.seed,
-        ..GaConfig::default()
-    }
-}
+use crate::{strips, ExpScale};
 
 /// Ext-G: random vs greedy-walk vs biased-walk vs plan seeding.
 pub fn ext_seeding(scale: &ExpScale) -> TextTable {
     let runs = scale.runs_or(10);
-    let problem = instance();
+    // 9 blocks in three towers, rearranged into two interleaved towers
+    // (requires unstacking and careful ordering).
+    let towers = vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8]];
+    let problem = blocks_world(9, &towers, &vec![vec![8, 4, 0, 6, 2], vec![5, 1, 7, 3]]).unwrap();
+    // Run shape over the model's STRIPS defaults (one gene per ground
+    // operation): 150 individuals, genomes of 20 genes capped at 100.
+    let blocks =
+        strips(problem, GaOverrides { population: Some(150), initial_len: Some(20), ..GaOverrides::default() });
+    let problem = &blocks.domain;
+    let cfg = scale.config(&blocks, |_| {});
     let mut t = TextTable::new(
         "Ext-G. Population seeding on 9-block Blocks World (3 towers -> 2 interleaved towers), multi-phase GA.",
         &["Seeding", "Avg Goal Fitness", "Avg Size", "Avg Gen of 1st Solution", "Solved Runs"],
     );
 
     // a reusable donor plan from the greedy baseline (the plan-reuse seed)
-    let donor = greedy_best_first(&problem, &GoalCount, SearchLimits::default()).plan.map(|p| p.ops().to_vec());
+    let donor = greedy_best_first(problem, &GoalCount, SearchLimits::default()).plan.map(|p| p.ops().to_vec());
 
     let strategies: Vec<(&str, Option<(SeedStrategy, f64)>)> = vec![
         ("none (random init)", None),
@@ -51,20 +41,7 @@ pub fn ext_seeding(scale: &ExpScale) -> TextTable {
     ];
 
     for (name, seeder) in strategies {
-        let mut reports = Vec::with_capacity(runs);
-        for run in 0..runs {
-            let mut cfg = ga_cfg(scale);
-            cfg.seed = derive_seed(scale.seed, run as u64 + 1);
-            cfg.eval = gaplan_ga::EvalMode::Serial;
-            let started = Instant::now();
-            let mut driver = MultiPhase::new(&problem, cfg);
-            if let Some((strategy, fraction)) = &seeder {
-                driver = driver.with_seeder(strategy.clone(), *fraction);
-            }
-            let result = driver.run();
-            reports.push(RunReport::from_result(&result, started.elapsed().as_secs_f64()));
-        }
-        let agg = aggregate(&reports, 5);
+        let (_, agg) = run_seeded(problem, &cfg, runs, seeder.as_ref());
         t.row(vec![
             name.into(),
             f3(agg.avg_goal_fitness),

@@ -1,28 +1,23 @@
 //! Ext-F: sensitivity of the GA to its main knobs (mutation rate,
 //! tournament size, state-match mode) on the 6-disk Towers of Hanoi.
 
-use gaplan_domains::Hanoi;
 use gaplan_ga::{CostFitnessMode, CrossoverKind, GoalEval, SelectionScheme, StateMatchMode};
 
-use crate::hanoi_exp::hanoi_config;
 use crate::runner::run_batch;
 use crate::table::{f1, f3, TextTable};
-use crate::tile_exp::{tile_config, tile_instance};
-use crate::ExpScale;
+use crate::{hanoi, ExpScale};
 
 /// Mutation-rate sweep.
 pub fn ext_mutation(scale: &ExpScale) -> TextTable {
     let runs = scale.runs_or(10);
-    let hanoi = Hanoi::new(6);
+    let hanoi = hanoi(6);
     let mut t = TextTable::new(
         "Ext-F1. Mutation-rate sensitivity (6-disk Hanoi, multi-phase, random crossover).",
         &["Mutation Rate", "Avg Goal Fitness", "Avg Size", "Solved Runs"],
     );
     for rate in [0.0, 0.001, 0.01, 0.05, 0.2] {
-        let mut cfg = hanoi_config(6, scale).multi_phase();
-        cfg.mutation_rate = rate;
-        cfg.generations_per_phase = scale.gens(cfg.generations_per_phase);
-        let (_, agg) = run_batch(&hanoi, &cfg, runs);
+        let cfg = scale.config(&hanoi, |c| c.mutation_rate = rate);
+        let (_, agg) = run_batch(&hanoi.domain, &cfg, runs);
         t.row(vec![
             format!("{rate}"),
             f3(agg.avg_goal_fitness),
@@ -36,7 +31,7 @@ pub fn ext_mutation(scale: &ExpScale) -> TextTable {
 /// Selection-scheme sweep.
 pub fn ext_selection(scale: &ExpScale) -> TextTable {
     let runs = scale.runs_or(10);
-    let hanoi = Hanoi::new(6);
+    let hanoi = hanoi(6);
     let mut t = TextTable::new(
         "Ext-F2. Selection-scheme sensitivity (6-disk Hanoi, multi-phase).",
         &["Selection", "Avg Goal Fitness", "Avg Size", "Solved Runs"],
@@ -48,10 +43,8 @@ pub fn ext_selection(scale: &ExpScale) -> TextTable {
         ("roulette", SelectionScheme::Roulette),
         ("rank", SelectionScheme::Rank),
     ] {
-        let mut cfg = hanoi_config(6, scale).multi_phase();
-        cfg.selection = sel;
-        cfg.generations_per_phase = scale.gens(cfg.generations_per_phase);
-        let (_, agg) = run_batch(&hanoi, &cfg, runs);
+        let cfg = scale.config(&hanoi, |c| c.selection = sel);
+        let (_, agg) = run_batch(&hanoi.domain, &cfg, runs);
         t.row(vec![
             name.into(),
             f3(agg.avg_goal_fitness),
@@ -65,17 +58,17 @@ pub fn ext_selection(scale: &ExpScale) -> TextTable {
 /// State-match-mode ablation for state-aware crossover (DESIGN.md note 6).
 pub fn ext_state_match(scale: &ExpScale) -> TextTable {
     let runs = scale.runs_or(10);
-    let hanoi = Hanoi::new(6);
+    let hanoi = hanoi(6);
     let mut t = TextTable::new(
         "Ext-F3. State-match rule for state-aware crossover (6-disk Hanoi, multi-phase).",
         &["Match rule", "Avg Goal Fitness", "Avg Size", "Solved Runs"],
     );
     for (name, mode) in [("exact state", StateMatchMode::ExactState), ("valid-op set", StateMatchMode::ValidOpSet)] {
-        let mut cfg = hanoi_config(6, scale).multi_phase();
-        cfg.crossover = CrossoverKind::StateAware;
-        cfg.state_match = mode;
-        cfg.generations_per_phase = scale.gens(cfg.generations_per_phase);
-        let (_, agg) = run_batch(&hanoi, &cfg, runs);
+        let cfg = scale.config(&hanoi, |c| {
+            c.crossover = CrossoverKind::StateAware;
+            c.state_match = mode;
+        });
+        let (_, agg) = run_batch(&hanoi.domain, &cfg, runs);
         t.row(vec![
             name.into(),
             f3(agg.avg_goal_fitness),
@@ -90,7 +83,7 @@ pub fn ext_state_match(scale: &ExpScale) -> TextTable {
 /// §3.3 versus the calibrated best-prefix reading (see EXPERIMENTS.md).
 pub fn ext_goal_eval(scale: &ExpScale) -> TextTable {
     let runs = scale.runs_or(10);
-    let instance = tile_instance(3, scale);
+    let tile = scale.tile(3);
     let mut t = TextTable::new(
         "Ext-F4. Goal-evaluation semantics (Table-4 8-puzzle instance, multi-phase, random crossover).",
         &["Semantics", "Avg Goal Fitness", "Avg Size", "Avg Generations", "Solved Runs"],
@@ -100,11 +93,12 @@ pub fn ext_goal_eval(scale: &ExpScale) -> TextTable {
         ("final-state, truncate at goal", GoalEval::FinalState, true),
         ("best-prefix, truncate at goal", GoalEval::BestPrefix, true),
     ] {
-        let mut cfg = tile_config(3, CrossoverKind::Random, scale);
-        cfg.goal_eval = eval;
-        cfg.truncate_at_goal = trunc;
-        cfg.generations_per_phase = scale.gens(cfg.generations_per_phase);
-        let (_, agg) = run_batch(&instance, &cfg, runs);
+        let cfg = scale.config(&tile, |c| {
+            c.crossover = CrossoverKind::Random;
+            c.goal_eval = eval;
+            c.truncate_at_goal = trunc;
+        });
+        let (_, agg) = run_batch(&tile.domain, &cfg, runs);
         t.row(vec![
             name.into(),
             f3(agg.avg_goal_fitness),
@@ -120,16 +114,14 @@ pub fn ext_goal_eval(scale: &ExpScale) -> TextTable {
 /// strict generational reading keeps none.
 pub fn ext_elitism(scale: &ExpScale) -> TextTable {
     let runs = scale.runs_or(10);
-    let hanoi = Hanoi::new(6);
+    let hanoi = hanoi(6);
     let mut t = TextTable::new(
         "Ext-F5. Elitism (6-disk Hanoi, multi-phase, random crossover).",
         &["Elites", "Avg Goal Fitness", "Avg Size", "Avg Generations", "Solved Runs"],
     );
     for elites in [0usize, 1, 2, 10] {
-        let mut cfg = hanoi_config(6, scale).multi_phase();
-        cfg.elitism = elites;
-        cfg.generations_per_phase = scale.gens(cfg.generations_per_phase);
-        let (_, agg) = run_batch(&hanoi, &cfg, runs);
+        let cfg = scale.config(&hanoi, |c| c.elitism = elites);
+        let (_, agg) = run_batch(&hanoi.domain, &cfg, runs);
         t.row(vec![
             elites.to_string(),
             f3(agg.avg_goal_fitness),
@@ -146,7 +138,7 @@ pub fn ext_elitism(scale: &ExpScale) -> TextTable {
 /// `CostFitnessMode`).
 pub fn ext_cost_fitness(scale: &ExpScale) -> TextTable {
     let runs = scale.runs_or(10);
-    let instance = tile_instance(3, scale);
+    let tile = scale.tile(3);
     let mut t = TextTable::new(
         "Ext-F6. Cost-fitness reading of Eq. 2 (Table-4 8-puzzle instance, multi-phase).",
         &["F_cost", "Avg Goal Fitness", "Avg Size", "Solved Runs"],
@@ -156,10 +148,11 @@ pub fn ext_cost_fitness(scale: &ExpScale) -> TextTable {
         ("1/len (reciprocal)", CostFitnessMode::InverseLength),
         ("none (goal only)", CostFitnessMode::Zero),
     ] {
-        let mut cfg = tile_config(3, CrossoverKind::Random, scale);
-        cfg.cost_fitness = mode;
-        cfg.generations_per_phase = scale.gens(cfg.generations_per_phase);
-        let (_, agg) = run_batch(&instance, &cfg, runs);
+        let cfg = scale.config(&tile, |c| {
+            c.crossover = CrossoverKind::Random;
+            c.cost_fitness = mode;
+        });
+        let (_, agg) = run_batch(&tile.domain, &cfg, runs);
         t.row(vec![
             name.into(),
             f3(agg.avg_goal_fitness),

@@ -3,53 +3,22 @@
 //! Instance choice: the paper's Figure 3(a) (reversed 15-puzzle) is
 //! unsolvable by the Johnson & Story criterion, and the paper does not
 //! state which instances its 50 runs used. We therefore use one *fixed*
-//! uniformly-random solvable instance per board size, generated from the
-//! experiment master seed, so that runs differ only in their GA seed —
-//! matching "each individual run of the GA was executed using a different
-//! random seed".
+//! uniformly-random solvable instance per board size ([`ExpScale::tile`]),
+//! generated from the experiment master seed, so that runs differ only in
+//! their GA seed — matching "each individual run of the GA was executed
+//! using a different random seed".
+//! Every cell runs the problem model's tile defaults: the Table 3 block and
+//! `n² · log₂(n²)` as initial length (§4.2).
 
-use gaplan_domains::SlidingTile;
-use gaplan_ga::rng::derive_seed;
-use gaplan_ga::{CrossoverKind, GaConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use gaplan_ga::CrossoverKind;
 
 use crate::runner::run_batch;
 use crate::table::{f2, f3, TextTable};
 use crate::ExpScale;
 
-/// Initial individual length (§4.2): `n² · log₂(n²)`, "the number of
-/// comparisons needed to sort a set of n² values".
-pub fn tile_initial_len(n: usize) -> usize {
-    let cells = (n * n) as f64;
-    (cells * cells.log2()).ceil() as usize
-}
-
-/// The paper's tile GA configuration (Table 3) for board side `n`.
-pub fn tile_config(n: usize, crossover: CrossoverKind, scale: &ExpScale) -> GaConfig {
-    let initial = tile_initial_len(n);
-    GaConfig {
-        population_size: 200,
-        crossover,
-        crossover_rate: 0.9,
-        mutation_rate: 0.01,
-        initial_len: initial,
-        max_len: 5 * initial,
-        seed: scale.seed,
-        ..GaConfig::default()
-    }
-    .multi_phase()
-}
-
-/// The fixed per-size instance used by Tables 4–5.
-pub fn tile_instance(n: usize, scale: &ExpScale) -> SlidingTile {
-    let mut rng = StdRng::seed_from_u64(derive_seed(scale.seed, 0xB0A7D + n as u64));
-    SlidingTile::random_solvable(n, &mut rng)
-}
-
 /// Table 3: parameter settings for the Sliding-tile puzzle experiments.
 pub fn table3(scale: &ExpScale) -> TextTable {
-    let cfg = tile_config(3, CrossoverKind::Random, scale);
+    let cfg = scale.tile(3).base;
     let mut t =
         TextTable::new("Table 3. Parameter settings for the Sliding-tile puzzle experiments.", &["Parameter", "Value"]);
     t.row(vec!["Population size".into(), cfg.population_size.to_string()]);
@@ -83,10 +52,9 @@ pub fn table4(scale: &ExpScale) -> TextTable {
     );
     for kind in [CrossoverKind::StateAware, CrossoverKind::Random, CrossoverKind::Mixed] {
         for n in [3usize, 4] {
-            let instance = tile_instance(n, scale);
-            let mut cfg = tile_config(n, kind, scale);
-            cfg.generations_per_phase = scale.gens(cfg.generations_per_phase);
-            let (_, agg) = run_batch(&instance, &cfg, runs);
+            let tile = scale.tile(n);
+            let cfg = scale.config(&tile, |c| c.crossover = kind);
+            let (_, agg) = run_batch(&tile.domain, &cfg, runs);
             t.row(vec![
                 kind.name().into(),
                 (n * n).to_string(),
@@ -104,7 +72,7 @@ pub fn table4(scale: &ExpScale) -> TextTable {
 /// crossover mechanism, for the 3×3 board.
 pub fn table5(scale: &ExpScale) -> TextTable {
     let runs = scale.runs_or(50);
-    let n = 3;
+    let tile = scale.tile(3);
     let mut t = TextTable::new(
         "Table 5. Runs finding a valid solution in each phase (3x3 board).",
         &["Phase", "Random", "State-aware", "Mixed"],
@@ -112,10 +80,8 @@ pub fn table5(scale: &ExpScale) -> TextTable {
     let mut histograms = Vec::new();
     let mut avg_first = Vec::new();
     for kind in [CrossoverKind::Random, CrossoverKind::StateAware, CrossoverKind::Mixed] {
-        let instance = tile_instance(n, scale);
-        let mut cfg = tile_config(n, kind, scale);
-        cfg.generations_per_phase = scale.gens(cfg.generations_per_phase);
-        let (_, agg) = run_batch(&instance, &cfg, runs);
+        let cfg = scale.config(&tile, |c| c.crossover = kind);
+        let (_, agg) = run_batch(&tile.domain, &cfg, runs);
         histograms.push(agg.solved_per_phase);
         avg_first.push(agg.avg_first_solution_gen);
     }
@@ -139,35 +105,6 @@ pub fn table5(scale: &ExpScale) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gaplan_core::Domain;
-
-    #[test]
-    fn initial_len_formula() {
-        // 3x3: 9 * log2(9) = 28.53 -> 29; 4x4: 16 * 4 = 64
-        assert_eq!(tile_initial_len(3), 29);
-        assert_eq!(tile_initial_len(4), 64);
-    }
-
-    #[test]
-    fn tile_config_is_valid_and_multiphase() {
-        let cfg = tile_config(4, CrossoverKind::Mixed, &ExpScale::default());
-        cfg.validate().unwrap();
-        assert_eq!(cfg.max_phases, 5);
-        assert_eq!(cfg.generations_per_phase, 100);
-        assert_eq!(cfg.max_len, 320);
-    }
-
-    #[test]
-    fn tile_instance_is_fixed_per_scale() {
-        let s = ExpScale::default();
-        let a = tile_instance(3, &s);
-        let b = tile_instance(3, &s);
-        assert_eq!(a.initial_state(), b.initial_state());
-        let mut other = s;
-        other.seed ^= 1;
-        let c = tile_instance(3, &other);
-        assert_ne!(a.initial_state(), c.initial_state());
-    }
 
     #[test]
     fn table5_quick_smoke_has_phase_rows() {

@@ -1,97 +1,38 @@
-//! Process-wide cache of grounded DSL domains.
-//!
-//! Building a [`crate::ProblemSpec::Dsl`] means lexing, parsing, type
-//! checking and grounding two source files — work that is identical for
-//! every request carrying the same `(domain, problem)` text, and which the
-//! session thread repeats via [`crate::PlanRequest::cache_key`] before a
-//! worker ever sees the job. This module memoizes `compile` keyed by a
-//! signature of the two texts, so a hot domain is ground once and then
-//! served as a cheap `Arc` clone. Compile *failures* are cached too: a
-//! malformed domain resubmitted in a tight loop costs one hash lookup, not
-//! a re-parse.
-//!
-//! The cache is a plain bounded map with clear-on-full (the same policy as
-//! the worker succ-cache pool): grounded domains are a few hundred KB at
-//! most and `CAPACITY` distinct texts per process is already far beyond any
-//! realistic working set, so LRU bookkeeping isn't worth its locking.
+//! Ground-cache accounting: a worker builds its job with one counted
+//! lookup in the problem model's DSL memo ([`gaplan_problem::ground`]) and
+//! counts the reported hit or miss here; probes stay uncounted.
 
-use std::sync::{Arc, Mutex, OnceLock};
-
-use gaplan_core::strips::StripsProblem;
-use gaplan_core::SigBuilder;
-use rustc_hash::FxHashMap;
+use gaplan_problem::ground::GroundLookup;
 
 use crate::metrics::{Metric, Metrics};
 
-/// Distinct (domain, problem) texts cached per process.
-const CAPACITY: usize = 128;
-
-/// One memoized compile. `miss_pending` marks an entry compiled by an
-/// uncounted probe: the first counted lookup to find it is the request that
-/// compile was for, so it counts the miss (and clears the mark) instead of
-/// a hit.
-struct Grounded {
-    result: Result<Arc<StripsProblem>, String>,
-    miss_pending: bool,
-}
-
-type CacheMap = FxHashMap<u64, Grounded>;
-
-fn cache() -> &'static Mutex<CacheMap> {
-    static CACHE: OnceLock<Mutex<CacheMap>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(FxHashMap::default()))
-}
-
-/// Stable signature of the raw source pair — the ground-cache key. Note
-/// this is *textual*: two formattings of the same domain ground twice (and
-/// then collide in the plan cache via the structural problem signature).
-pub fn text_signature(domain: &str, problem: &str) -> u64 {
-    let mut s = SigBuilder::new();
-    s.tag("dsl-text-v1").str(domain).str(problem);
-    s.finish()
-}
-
-/// Compile (or fetch) the grounded domain for a source pair. Counts a
-/// ground-cache hit/miss on `metrics` when provided; probe-only callers
-/// (the session thread computing cache keys) pass `None`.
-///
-/// Each request counts exactly once, at its counted lookup. When an
-/// uncounted probe already compiled the pair on that request's behalf, the
-/// counted lookup finds the entry but still counts the miss the compile
-/// was — otherwise every fresh pair probed first would read as a hit.
-pub fn ground_cached(domain: &str, problem: &str, metrics: Option<&Metrics>) -> Result<Arc<StripsProblem>, String> {
-    let key = text_signature(domain, problem);
-    if let Some(cached) = cache().lock().expect("ground cache mutex poisoned").get_mut(&key) {
-        if let Some(m) = metrics {
-            if std::mem::take(&mut cached.miss_pending) {
-                m.inc(Metric::GroundCacheMisses);
-            } else {
-                m.inc(Metric::GroundCacheHits);
-            }
-        }
-        return cached.result.clone();
+/// Count a counted lookup's hit or miss (nothing for `None`: no DSL
+/// lookup) and pass its result through.
+pub fn count<T>(metrics: &Metrics, (result, lookup): (T, Option<GroundLookup>)) -> T {
+    match lookup {
+        Some(GroundLookup::Hit) => metrics.inc(Metric::GroundCacheHits),
+        Some(GroundLookup::Miss) => metrics.inc(Metric::GroundCacheMisses),
+        None => {}
     }
-    // Compile outside the lock: grounding can take milliseconds and other
-    // (domain, problem) pairs shouldn't serialize behind it. A racing
-    // duplicate insert is deterministic, so last-write-wins is harmless.
-    let result = match gaplan_lang::compile(domain, problem) {
-        Ok(c) => Ok(Arc::new(c.strips)),
-        Err(e) => Err(e.summary()),
-    };
-    if let Some(m) = metrics {
-        m.inc(Metric::GroundCacheMisses);
-    }
-    let mut map = cache().lock().unwrap();
-    if map.len() >= CAPACITY {
-        map.clear();
-    }
-    map.insert(key, Grounded { result: result.clone(), miss_pending: metrics.is_none() });
     result
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use gaplan_core::strips::StripsProblem;
+
     use super::*;
+
+    /// One lookup as a worker (`Some`) or a probe (`None`) makes it.
+    fn ground_cached(domain: &str, problem: &str, metrics: Option<&Metrics>) -> Result<Arc<StripsProblem>, String> {
+        let lookup = gaplan_problem::ground::ground_cached(domain, problem, metrics.is_some());
+        match metrics {
+            Some(m) => count(m, lookup),
+            None => lookup.0,
+        }
+    }
 
     const DOM: &str = "domain d\ntype t\npred p(x: t)\naction go(x: t)\n  pre: p(x)\n  del: p(x)\n";
     const PROB: &str = "problem q domain d\nobjects a: t\ninit: p(a)\ngoal: p(a)\n";

@@ -726,7 +726,7 @@ fn failed_job(job: &Job, shared: &Shared, msg: String) -> PlanResponse {
 
 fn run_job(job: &Job, shared: &Shared, attempt: u32) -> PlanResponse {
     let (built, defaults) = match &job.problem {
-        JobProblem::Spec(spec) => match spec.build_with(Some(&shared.metrics)) {
+        JobProblem::Spec(spec) => match crate::ground::count(&shared.metrics, spec.build_with(true)) {
             Ok(built) => {
                 let defaults = built.default_config();
                 (built, defaults)

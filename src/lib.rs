@@ -10,6 +10,7 @@ pub use gaplan_grid as grid;
 pub use gaplan_lang as lang;
 pub use gaplan_net as net;
 pub use gaplan_obs as obs;
+pub use gaplan_problem as problem;
 pub use gaplan_service as service;
 
 pub mod trace_report;
