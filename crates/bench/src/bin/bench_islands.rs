@@ -33,7 +33,7 @@ use std::time::Instant;
 use gaplan_core::{Domain, SuccessorCache};
 use gaplan_domains::{Hanoi, SlidingTile};
 use gaplan_ga::arena::{PopulationArena, Provenance};
-use gaplan_ga::{Decoder, EvalMode, Evaluated, GaConfig, Genome, MultiPhase, PrefixRef};
+use gaplan_ga::{Decoder, Evaluated, GaConfig, Genome, MultiPhase, PrefixRef};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -196,7 +196,7 @@ fn main() {
     // -- decode path: candidate loop vs arena loop, fastest of 5 each --
     let hanoi = Hanoi::new(7);
     let len = hanoi.optimal_len(); // 127 genes, as in bench_decode
-    let cfg = GaConfig { eval: EvalMode::Serial, ..GaConfig::default() };
+    let cfg = GaConfig::default();
 
     let warm = SuccessorCache::new(1 << 16);
     let warm_parents = setup_parents(&hanoi, &warm, &cfg, len);

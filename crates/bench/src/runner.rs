@@ -1,20 +1,18 @@
-//! Parallel multi-run executor: repeats a GA configuration across seeds
-//! (the paper: "each run uses a different initial population") and
-//! aggregates the reports.
+//! Multi-run executor: repeats a GA configuration across seeds (the paper:
+//! "each run uses a different initial population") and aggregates the
+//! reports. Runs are the unit of parallelism: they fan out over one scoped
+//! thread per core, and each GA run is single-threaded.
 
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use gaplan_core::Domain;
 use gaplan_ga::rng::derive_seed;
 use gaplan_ga::{aggregate, AggregateReport, GaConfig, MultiPhase, RunReport, SeedStrategy};
-use parking_lot::Mutex;
-use rayon::prelude::*;
 
 /// Run `runs` independent multi-phase GA executions of `cfg` over `domain`,
 /// with per-run seeds derived from `cfg.seed`, in parallel across runs.
-///
-/// Individual-level parallelism is disabled inside each run (the runs
-/// themselves are the parallel unit here), keeping results identical to a
+/// Each run is a pure function of its seed, so results are identical to a
 /// serial execution.
 pub fn run_batch<D: Domain>(domain: &D, cfg: &GaConfig, runs: usize) -> (Vec<RunReport>, AggregateReport) {
     run_seeded(domain, cfg, runs, None)
@@ -29,21 +27,29 @@ pub fn run_seeded<D: Domain>(
     seeder: Option<&(SeedStrategy, f64)>,
 ) -> (Vec<RunReport>, AggregateReport) {
     assert!(runs > 0);
-    let reports = Mutex::new(vec![None; runs]);
-    (0..runs).into_par_iter().for_each(|i| {
+    let one_run = |i: usize| {
         let mut run_cfg = cfg.clone();
         run_cfg.seed = derive_seed(cfg.seed, i as u64 + 1);
-        run_cfg.eval = gaplan_ga::EvalMode::Serial;
         let start = Instant::now();
         let mut driver = MultiPhase::new(domain, run_cfg);
         if let Some((strategy, fraction)) = seeder {
             driver = driver.with_seeder(strategy.clone(), *fraction);
         }
         let result = driver.run();
-        let report = RunReport::from_result(&result, start.elapsed().as_secs_f64());
-        reports.lock()[i] = Some(report);
+        RunReport::from_result(&result, start.elapsed().as_secs_f64())
+    };
+    // One contiguous block of run indices per thread, joined in block
+    // order, so reports come back in run order.
+    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get).min(runs);
+    let block = runs.div_ceil(threads);
+    let reports: Vec<RunReport> = std::thread::scope(|scope| {
+        let one_run = &one_run;
+        let blocks: Vec<_> = (0..runs)
+            .step_by(block)
+            .map(|lo| scope.spawn(move || (lo..(lo + block).min(runs)).map(one_run).collect::<Vec<_>>()))
+            .collect();
+        blocks.into_iter().flat_map(|b| b.join().expect("an experiment run panicked")).collect()
     });
-    let reports: Vec<RunReport> = reports.into_inner().into_iter().map(|r| r.expect("every run completed")).collect();
     let agg = aggregate(&reports, cfg.max_phases);
     (reports, agg)
 }

@@ -25,7 +25,6 @@ fn phase_cfg() -> GaConfig {
         initial_len: 31,
         max_len: 155,
         seed: 1,
-        eval: gaplan_ga::EvalMode::Serial,
         ..GaConfig::default()
     }
 }

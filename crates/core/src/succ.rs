@@ -12,10 +12,10 @@
 //!
 //! * **Determinism.** A lookup returns exactly what
 //!   [`Domain::valid_operations`] would have produced, so decoding is
-//!   bitwise-identical with the cache on or off, serial or parallel. Only the
-//!   hit/miss/eviction *counters* are racy under parallel evaluation (two
-//!   workers can miss the same state concurrently), which is why observability
-//!   masks them in golden traces.
+//!   bitwise-identical with the cache on or off, private or shared. Only the
+//!   hit/miss/eviction *counters* depend on how the table is used (on or off,
+//!   its capacity, and, when service workers share it, which worker misses a
+//!   state first), which is why observability masks them in golden traces.
 //! * **Bounded memory that follows use.** Each shard behaves as a
 //!   direct-mapped table of `capacity / 16` slots: a state's *home* is
 //!   `(sig >> 4) % slots_per_shard`, and a colliding insert replaces the
@@ -31,9 +31,9 @@
 //!   the occupant's op-list buffer is reused — so a thrashing table costs no
 //!   allocation per miss.
 //! * **Cheap sharing.** Sixteen shards behind `parking_lot` mutexes keep the
-//!   rayon workers of `EvalMode::Parallel` from serialising on one lock; a
-//!   hit copies the op list into the caller's scratch under the shard lock,
-//!   avoiding per-hit `Arc` traffic.
+//!   service workers that share one table for a recurring problem from
+//!   serialising on one lock; a hit copies the op list into the caller's
+//!   scratch under the shard lock, avoiding per-hit `Arc` traffic.
 //!
 //! The table pays off only where states recur. Per solve on the benchmark's
 //! cold-mix problems, Hanoi-4 hits 0.999 of lookups, the grid pipeline 0.96,
@@ -43,9 +43,9 @@
 //! therefore reads [`SuccessorCache::stats`] after each phase's first
 //! generation and, below a 0.5 hit fraction, evaluates the rest of the phase
 //! uncached. Since a lookup returns exactly what `valid_operations` would,
-//! that bypass can change speed but never a result; racing counters under
-//! parallel evaluation can make the decision itself racy, with the same
-//! guarantee.
+//! that bypass can change speed but never a result; counters raced by
+//! workers sharing one table can make the decision itself racy, with the
+//! same guarantee.
 //!
 //! Keys are [`Domain::state_signature`] values. The default signature is a
 //! 64-bit hash, so two distinct states *can* collide; debug builds store the

@@ -56,24 +56,6 @@ pub enum StateMatchMode {
     ValidOpSet,
 }
 
-/// How individuals are evaluated each generation.
-///
-/// Evaluation (decode + fitness) is a pure function of the genome, so the
-/// two modes are *bitwise-identical* by contract — `Parallel` fans the
-/// population out over rayon workers that share one successor cache, and the
-/// order-preserving collect keeps results positionally identical to a serial
-/// fold. The mode is excluded from [`GaConfig::signature`] for the same
-/// reason.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum EvalMode {
-    /// One decoder, one thread. Useful for profiling and as the reference
-    /// for the serial-vs-parallel equivalence tests.
-    Serial,
-    /// Rayon-parallel evaluation (the default).
-    #[default]
-    Parallel,
-}
-
 /// Which state of the decoded plan the goal fitness `F_goal` scores.
 ///
 /// The paper's §3.3 says the goal fitness "evaluates the quality of
@@ -233,9 +215,6 @@ pub struct GaConfig {
     /// GA, so [`crate::MultiPhase`] sets this automatically; it is exposed
     /// for single-phase use.
     pub early_stop_on_solution: bool,
-    /// Evaluation mode (serial or rayon-parallel). Deterministic either way:
-    /// decoding and fitness are pure functions of the genome.
-    pub eval: EvalMode,
     /// Memoize `valid_operations` results in a shared [`SuccessorCache`]
     /// keyed by state signature. Pure optimization: decoded plans, fitness
     /// trajectories and traces are identical with the cache on or off.
@@ -281,7 +260,6 @@ impl Default for GaConfig {
             truncate_at_goal: true,
             state_match: StateMatchMode::default(),
             early_stop_on_solution: false,
-            eval: EvalMode::Parallel,
             succ_cache: true,
             succ_cache_capacity: gaplan_core::succ::DEFAULT_CAPACITY,
             seed: 0x9a_9a_9a,
@@ -402,10 +380,10 @@ impl GaConfig {
 
     /// Stable 64-bit signature of every config field that can change a
     /// run's *result* — used (combined with the problem signature) as the
-    /// planning service's plan-cache key. `eval`, `succ_cache` and
+    /// planning service's plan-cache key. `succ_cache` and
     /// `succ_cache_capacity` are deliberately excluded: evaluation is
-    /// deterministic by contract, so serial/parallel and cached/uncached
-    /// runs of the same config produce the same plan.
+    /// deterministic by contract, so cached and uncached runs of the same
+    /// config produce the same plan.
     pub fn signature(&self) -> u64 {
         let mut s = gaplan_core::sig::SigBuilder::new();
         s.tag("ga-config-v1");
@@ -534,11 +512,9 @@ mod tests {
     }
 
     #[test]
-    fn signature_ignores_eval_and_cache_knobs() {
+    fn signature_ignores_cache_knobs() {
         let base = GaConfig::default();
-        let serial = GaConfig { eval: EvalMode::Serial, ..base.clone() };
         let uncached = GaConfig { succ_cache: false, succ_cache_capacity: 8, ..base.clone() };
-        assert_eq!(base.signature(), serial.signature());
         assert_eq!(base.signature(), uncached.signature());
         let different = GaConfig { seed: base.seed + 1, ..base.clone() };
         assert_ne!(base.signature(), different.signature());

@@ -105,8 +105,8 @@ pub struct Decoded<S> {
 }
 
 /// A reusable decoder. Holds the scratch buffer for valid-operation lists so
-/// per-individual decoding allocates only the output vectors; rayon workers
-/// each keep their own `Decoder` (`map_init`).
+/// per-individual decoding allocates only the output vectors; one `Decoder`
+/// serves a whole generation on the thread that evaluates it.
 ///
 /// When decoding through a [`SuccessorCache`], the decoder additionally
 /// keeps a private, lock-free L1 front cache of recent successor lists, so

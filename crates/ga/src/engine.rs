@@ -217,8 +217,9 @@ impl<'d, D: Domain> Phase<'d, D> {
         // Per-phase cache bypass: set after the first evaluated generation
         // when its hit fraction falls below `CACHE_BYPASS_HIT_FRAC`. Decoding
         // is identical with and without the cache, so this only changes
-        // speed; under parallel evaluation (or a cache shared with other
-        // runs) the counters race and so may the decision — still only speed.
+        // speed. A phase evaluates on one thread, so the decision can race
+        // only through a cache the service shares across workers solving
+        // the same problem — and then it still changes only speed.
         let mut eval_cache = cache.as_deref();
 
         for gen in start_gen..cfg.generations_per_phase {
@@ -362,7 +363,8 @@ impl<'d, D: Domain> Phase<'d, D> {
         // Cache telemetry for the phase. Emitted even with the cache off
         // (all-zero counters) so cache-on and cache-off traces stay
         // line-aligned; the counter *values* are masked in golden traces
-        // because parallel workers race on hits vs. misses.
+        // because they measure speed, not results, and differ between
+        // cache-on, cache-off and shared-cache runs.
         obs::emit(|| {
             let delta = cache.as_ref().map(|c| c.stats().since(&cache_start)).unwrap_or_default();
             obs::Event::new("ga.cache")
@@ -519,7 +521,7 @@ fn migrate<S: Clone>(pop: &mut [Evaluated<S>], islands: usize, island_pop: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CrossoverKind, EvalMode, SelectionScheme};
+    use crate::config::{CrossoverKind, SelectionScheme};
     use gaplan_core::strips::{StripsBuilder, StripsProblem};
     use gaplan_core::{DomainExt, Plan};
 
@@ -548,7 +550,6 @@ mod tests {
             initial_len: 10,
             max_len: 24,
             seed: 7,
-            eval: EvalMode::Serial,
             ..GaConfig::default()
         }
     }
@@ -907,16 +908,13 @@ mod tests {
         s.hits + s.misses
     }
 
-    /// The per-phase bypass changes speed only: cache on or off, serial or
-    /// parallel, the phase result is the same bit for bit.
+    /// The per-phase bypass changes speed only: cache on or off, the phase
+    /// result is the same bit for bit.
     fn assert_bypass_invariant<D: gaplan_core::Domain>(d: &D, base: &GaConfig, what: &str) {
         let reference = Phase::new(d, base.clone()).run();
         for succ_cache in [true, false] {
-            for eval in [EvalMode::Serial, EvalMode::Parallel] {
-                let c = GaConfig { succ_cache, eval, ..base.clone() };
-                let r = Phase::new(d, c).run();
-                assert_results_identical(&reference, &r, &format!("{what} cache={succ_cache} {eval:?}"));
-            }
+            let r = Phase::new(d, GaConfig { succ_cache, ..base.clone() }).run();
+            assert_results_identical(&reference, &r, &format!("{what} cache={succ_cache}"));
         }
     }
 
@@ -967,16 +965,6 @@ mod tests {
         let a = Phase::new(&d, island_cfg()).run();
         let b = Phase::new(&d, island_cfg()).run();
         assert_results_identical(&a, &b, "run-to-run");
-    }
-
-    #[test]
-    fn island_run_identical_serial_and_parallel() {
-        let d = chain(6);
-        let mut par = island_cfg();
-        par.eval = EvalMode::Parallel;
-        let a = Phase::new(&d, island_cfg()).run();
-        let b = Phase::new(&d, par).run();
-        assert_results_identical(&a, &b, "serial vs parallel");
     }
 
     #[test]

@@ -77,9 +77,7 @@ pub mod stats;
 pub use annealing::{one_plus_one, simulated_annealing, AnnealConfig, AnnealResult};
 pub use arena::{PopulationArena, Provenance};
 pub use checkpoint::{MultiPhaseCheckpoint, PhaseSnapshot, ResumeError, CHECKPOINT_VERSION};
-pub use config::{
-    CostFitnessMode, CrossoverKind, EvalMode, FitnessWeights, GaConfig, GoalEval, SelectionScheme, StateMatchMode,
-};
+pub use config::{CostFitnessMode, CrossoverKind, FitnessWeights, GaConfig, GoalEval, SelectionScheme, StateMatchMode};
 pub use decode::{Decoded, Decoder, PrefixRef};
 pub use encode::{encode_plan, EncodeError};
 pub use engine::{Phase, PhaseResult};

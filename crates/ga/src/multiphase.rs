@@ -439,7 +439,6 @@ mod tests {
             initial_len: 6,
             max_len: 12,
             seed: 21,
-            eval: crate::config::EvalMode::Serial,
             ..GaConfig::default()
         }
     }

@@ -1,12 +1,11 @@
-//! Population initialization and (optionally parallel) evaluation.
+//! Population initialization and evaluation.
 
 use gaplan_core::{Domain, SuccessorCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::arena::{PopulationArena, NO_PARENT};
-use crate::config::{EvalMode, GaConfig};
+use crate::config::GaConfig;
 use crate::decode::{Decoder, PrefixRef};
 use crate::genome::Genome;
 use crate::individual::Evaluated;
@@ -27,17 +26,16 @@ pub fn init_population<R: Rng + ?Sized>(rng: &mut R, cfg: &GaConfig) -> Vec<Geno
         .collect()
 }
 
-/// Evaluate an arena-backed generation, producing [`Evaluated`] individuals
-/// in arena order. Each individual's genes live in the shared flat buffer,
-/// and its provenance is resolved to a *borrowed* [`PrefixRef`] against
-/// `parents` (the previous, already-evaluated generation) — no
-/// per-individual hint allocation. All workers probe one shared
-/// [`SuccessorCache`].
+/// Evaluate an arena-backed generation on the caller's thread, producing
+/// [`Evaluated`] individuals in arena order. Each individual's genes live in
+/// the shared flat buffer, and its provenance is resolved to a *borrowed*
+/// [`PrefixRef`] against `parents` (the previous, already-evaluated
+/// generation) — no per-individual hint allocation. One [`Decoder`] serves
+/// the whole generation and probes the optional [`SuccessorCache`].
 ///
-/// Evaluation is a pure function of each individual's genes: the parallel
-/// path (rayon, one [`Decoder`] per worker via `map_init`), the cache and the
-/// prefix hints change wall-clock, never results — every `Evaluated` is
-/// bitwise-identical to a hintless, uncached serial decode of its genes.
+/// Evaluation is a pure function of each individual's genes: the cache and
+/// the prefix hints change wall-clock, never results — every `Evaluated` is
+/// bitwise-identical to a hintless, uncached decode of its genes.
 pub fn evaluate_arena<D: Domain>(
     domain: &D,
     start: &D::State,
@@ -46,24 +44,21 @@ pub fn evaluate_arena<D: Domain>(
     cfg: &GaConfig,
     cache: Option<&SuccessorCache<D::State>>,
 ) -> Vec<Evaluated<D::State>> {
-    let eval_one = |dec: &mut Decoder, i: usize| {
-        let genes = arena.genes(i);
-        let prov = arena.prov(i);
-        let hint = if prov.parent == NO_PARENT {
-            None
-        } else {
-            let donor = &parents[prov.parent as usize];
-            Some(PrefixRef::new(&donor.ops, &donor.match_keys, &donor.step_goals, prov.prefix as usize))
-        };
-        let (decoded, fitness) = dec.evaluate_ref(domain, start, genes, cfg, cache, hint);
-        Evaluated::new(Genome::from_genes(genes.to_vec()), decoded, fitness)
-    };
-    if cfg.eval == EvalMode::Parallel {
-        (0..arena.len()).into_par_iter().map_init(Decoder::new, |dec, i| eval_one(dec, i)).collect()
-    } else {
-        let mut dec = Decoder::new();
-        (0..arena.len()).map(|i| eval_one(&mut dec, i)).collect()
-    }
+    let mut dec = Decoder::new();
+    (0..arena.len())
+        .map(|i| {
+            let genes = arena.genes(i);
+            let prov = arena.prov(i);
+            let hint = if prov.parent == NO_PARENT {
+                None
+            } else {
+                let donor = &parents[prov.parent as usize];
+                Some(PrefixRef::new(&donor.ops, &donor.match_keys, &donor.step_goals, prov.prefix as usize))
+            };
+            let (decoded, fitness) = dec.evaluate_ref(domain, start, genes, cfg, cache, hint);
+            Evaluated::new(Genome::from_genes(genes.to_vec()), decoded, fitness)
+        })
+        .collect()
 }
 
 /// Deterministic RNG for a phase, derived from the config seed and phase
@@ -151,14 +146,14 @@ mod tests {
     }
 
     /// One batch mixing fresh, prefix-replaying and whole-donor individuals,
-    /// evaluated serial and parallel, with and without a shared cache: every
-    /// result, in order, equals a hintless, uncached decode of its genes.
+    /// evaluated with and without a shared cache: every result, in order,
+    /// equals a hintless, uncached decode of its genes.
     #[test]
     fn arena_evaluation_matches_scratch_decode_in_every_mode() {
         use crate::arena::Provenance;
         let d = line(6);
         let start = d.initial_state();
-        let mut cfg = small_cfg();
+        let cfg = small_cfg();
         let mut rng = phase_rng(&cfg, 0);
         let mut first = PopulationArena::new();
         for g in init_population(&mut rng, &cfg) {
@@ -190,31 +185,28 @@ mod tests {
             .map(|i| Decoder::new().evaluate_ref(&d, &start, arena.genes(i), &cfg, None, None))
             .collect();
 
-        for eval in [EvalMode::Serial, EvalMode::Parallel] {
-            for cached in [false, true] {
-                cfg.eval = eval;
-                let cache = SuccessorCache::new(1024);
-                let got = evaluate_arena(&d, &start, &arena, &parents, &cfg, cached.then_some(&cache));
-                assert_eq!(got.len(), arena.len());
-                for (i, (e, (dec, fit))) in got.iter().zip(&reference).enumerate() {
-                    let what = format!("{eval:?}, cache {cached}, individual {i}");
-                    assert_eq!(e.genome.genes(), arena.genes(i), "{what}: genes");
-                    assert_eq!(e.ops, dec.ops, "{what}: ops");
-                    assert_eq!(e.match_keys, dec.match_keys, "{what}: match keys");
-                    assert_eq!(bits(&e.step_goals), bits(&dec.step_goals), "{what}: step goals");
-                    assert_eq!(e.final_state, dec.final_state, "{what}: final state");
-                    assert_eq!(e.decoded_len, dec.decoded_len, "{what}: decoded len");
-                    assert_eq!(e.best_prefix_at, dec.best_prefix_at, "{what}: best prefix");
-                    assert_eq!(e.best_prefix_state, dec.best_prefix_state, "{what}: best prefix state");
-                    assert_eq!(
-                        bits(&[e.fitness.match_, e.fitness.goal, e.fitness.cost, e.fitness.total]),
-                        bits(&[fit.match_, fit.goal, fit.cost, fit.total]),
-                        "{what}: fitness"
-                    );
-                }
-                if cached {
-                    assert!(cache.stats().hits > 0, "{eval:?}: individuals share states; the cache must hit");
-                }
+        for cached in [false, true] {
+            let cache = SuccessorCache::new(1024);
+            let got = evaluate_arena(&d, &start, &arena, &parents, &cfg, cached.then_some(&cache));
+            assert_eq!(got.len(), arena.len());
+            for (i, (e, (dec, fit))) in got.iter().zip(&reference).enumerate() {
+                let what = format!("cache {cached}, individual {i}");
+                assert_eq!(e.genome.genes(), arena.genes(i), "{what}: genes");
+                assert_eq!(e.ops, dec.ops, "{what}: ops");
+                assert_eq!(e.match_keys, dec.match_keys, "{what}: match keys");
+                assert_eq!(bits(&e.step_goals), bits(&dec.step_goals), "{what}: step goals");
+                assert_eq!(e.final_state, dec.final_state, "{what}: final state");
+                assert_eq!(e.decoded_len, dec.decoded_len, "{what}: decoded len");
+                assert_eq!(e.best_prefix_at, dec.best_prefix_at, "{what}: best prefix");
+                assert_eq!(e.best_prefix_state, dec.best_prefix_state, "{what}: best prefix state");
+                assert_eq!(
+                    bits(&[e.fitness.match_, e.fitness.goal, e.fitness.cost, e.fitness.total]),
+                    bits(&[fit.match_, fit.goal, fit.cost, fit.total]),
+                    "{what}: fitness"
+                );
+            }
+            if cached {
+                assert!(cache.stats().hits > 0, "individuals share states; the cache must hit");
             }
         }
     }

@@ -15,9 +15,10 @@ pub fn is_wall_field(key: &str) -> bool {
 }
 
 /// True if this key on a `ga.cache` line carries successor-cache telemetry.
-/// The cache never changes decode *results*, but which parallel worker wins
-/// the race to populate a slot (and therefore the hit/miss/eviction tallies)
-/// is scheduling-dependent, so the counters are masked like wall-clock data.
+/// The cache never changes decode *results*, but its hit/miss/eviction
+/// tallies depend on whether it is on and, for a table shared across
+/// service workers, on which worker reaches a state first, so the counters
+/// are masked like wall-clock data.
 /// `capacity` is masked too: it is a tuning knob, and masking it keeps
 /// cache-on and cache-off traces byte-identical. `phase` stays.
 pub fn is_cache_counter_field(key: &str) -> bool {
@@ -25,7 +26,7 @@ pub fn is_cache_counter_field(key: &str) -> bool {
 }
 
 /// Mask one JSON line: every numeric value whose key contains `wall` — plus,
-/// on `ga.cache` event lines, the racy cache counters — is replaced by `0`.
+/// on `ga.cache` event lines, the cache counters — is replaced by `0`.
 /// Non-JSON lines pass through unchanged.
 pub fn mask_line(line: &str) -> String {
     let cache_line = line.contains(r#""ev":"ga.cache""#);

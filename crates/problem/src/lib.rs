@@ -485,6 +485,72 @@ mod tests {
         assert!(cache.stats().hits > 0, "second job over the same problem must reuse successors");
     }
 
+    /// The one place GA state crosses threads: the service hands every
+    /// worker solving a recurring problem the same `Arc<SuccessorCache>`.
+    /// Two threads released by one barrier solve Hanoi-4, a shuffled
+    /// tile-4x4 (whose cache bypass reads counters the other thread also
+    /// bumps) and a shipped DSL pair at the cold-mix budget, each with its
+    /// own seeds, through one cache per problem. Every outcome equals a solo
+    /// solve with no cache.
+    #[test]
+    fn concurrent_solves_through_one_shared_cache_match_solo_solves() {
+        let problems: Vec<BuiltProblem> = [
+            ProblemSpec::Hanoi { disks: 4 },
+            ProblemSpec::Tile { side: 4, shuffle_seed: DEFAULT_SEED },
+            ProblemSpec::Dsl {
+                domain: include_str!("../../../examples/domains/logistics.gap").into(),
+                problem: include_str!("../../../data/logistics-1.gap").into(),
+            },
+        ]
+        .into_iter()
+        .map(|spec| spec.build().unwrap())
+        .collect();
+        let caches: Vec<_> = problems.iter().map(|_| Arc::new(SuccessorCache::new(1 << 12))).collect();
+        let cfg = |built: &BuiltProblem, seed: u64| {
+            let budget = GaOverrides {
+                population: Some(48),
+                generations: Some(40),
+                phases: Some(2),
+                seed: Some(seed),
+                ..GaOverrides::default()
+            };
+            budget.resolve(built.default_config()).unwrap()
+        };
+        let seeds = [[11, 12], [21, 22]];
+        let barrier = std::sync::Barrier::new(seeds.len());
+        let shared: Vec<Vec<(u64, usize, SolveOutcome)>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = seeds
+                .iter()
+                .map(|thread_seeds| {
+                    let (problems, caches, barrier) = (&problems, &caches, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let mut out = Vec::new();
+                        for &seed in thread_seeds {
+                            for (p, built) in problems.iter().enumerate() {
+                                let cache = Some(Arc::clone(&caches[p]));
+                                out.push((seed, p, built.solve_with(&cfg(built, seed), Budget::unlimited(), cache)));
+                            }
+                        }
+                        out
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (seed, p, got) in shared.iter().flatten() {
+            let solo_cfg = GaConfig { succ_cache: false, ..cfg(&problems[*p], *seed) };
+            let solo = problems[*p].solve(&solo_cfg, Budget::unlimited());
+            let what = format!("problem {p}, seed {seed}");
+            assert_eq!(got.plan_ops, solo.plan_ops, "{what}: ops");
+            assert_eq!(got.goal_fitness.to_bits(), solo.goal_fitness.to_bits(), "{what}: goal fitness");
+            assert_eq!(got.total_generations, solo.total_generations, "{what}: generations");
+        }
+        for (p, cache) in caches.iter().enumerate() {
+            assert!(cache.stats().hits > 0, "problem {p}: the shared cache must serve some lookups");
+        }
+    }
+
     #[test]
     fn dsl_compile_error_reports_as_build_error() {
         let spec = ProblemSpec::Dsl { domain: "domain d\ntype t\naction a()".into(), problem: "nope".into() };

@@ -9,8 +9,8 @@
 //! * **Job model** ([`PlanRequest`]/[`PlanResponse`]): a problem spec plus
 //!   optional GA overrides and a deadline in, a status + best plan out.
 //! * **Bounded queue + worker pool** ([`PlanService`]): plain std threads
-//!   and channels; a full queue rejects instead of blocking. Rayon
-//!   parallelism stays *inside* a job's GA phases.
+//!   and channels; a full queue rejects instead of blocking. Workers are
+//!   the only parallelism: each job's GA solve runs on its worker's thread.
 //! * **Deadlines & cancellation**: each job runs under a
 //!   [`gaplan_core::Budget`]; the engine checks it between generations, so
 //!   a timed-out or cancelled job still returns its best-so-far plan.

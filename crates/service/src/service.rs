@@ -7,8 +7,9 @@
 //! timeout — a full queue rejects or sheds the job so callers get
 //! backpressure instead of a hang). Workers share the receiving end behind
 //! a mutex, run one job at a time to completion, and send the
-//! [`PlanResponse`] to the job's reply channel. Inside a job the GA is free
-//! to use rayon; the service itself uses only std threads and channels.
+//! [`PlanResponse`] to the job's reply channel. Each job's GA solve runs
+//! single-threaded on its worker, so the worker count is the service's
+//! parallelism; the service uses only std threads and channels.
 //!
 //! Self-healing: each job runs under `catch_unwind`, so a panicking
 //! decode/domain yields an `Error` response (after one retry) instead of a

@@ -174,7 +174,6 @@ proptest! {
             initial_len: 6,
             max_len: 12,
             seed,
-            eval: gaplan_ga::EvalMode::Serial,
             ..GaConfig::default()
         };
         let r = ga_grid_planner::ga::MultiPhase::new(&problem, cfg).run();
